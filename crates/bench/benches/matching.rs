@@ -24,7 +24,9 @@
 //! scaling to 64/256/1024 mixed-domain schemas and races the exhaustive
 //! matcher against the certified candidate tier (inverted-index
 //! pruning, auto budget) on identical cold problems — the headline
-//! `relative.candidate_over_exhaustive_1024` ratio comes from it. The
+//! `relative.candidate_over_exhaustive_1024` ratio comes from it — and
+//! times candidate generation alone at 1024 schemas with a cold and a
+//! warm bound-row memo (`relative.generate_cold_over_warm_1024`). The
 //! `pipeline` group races the composed candidate→beam→exhaustive
 //! [`Pipeline`] against the monolithic exhaustive matcher on the same
 //! cold 1024-schema repository; the within-run ratio is guarded as
@@ -37,8 +39,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smx::matching::{
-    BatchMatcher, BatchProblem, BeamMatcher, CandidateGenerator, CertifiedMatcher, ClusterMatcher,
-    ExhaustiveMatcher, MappingRegistry, MatchProblem, Matcher, ObjectiveFunction,
+    BatchMatcher, BatchProblem, BeamMatcher, CandidateConfig, CandidateGenerator, CertifiedMatcher,
+    ClusterMatcher, ExhaustiveMatcher, MappingRegistry, MatchProblem, Matcher, ObjectiveFunction,
     ParallelExhaustiveMatcher, Pipeline, TopKMatcher,
 };
 use smx::persist::{RecoveryPolicy, Snapshot};
@@ -658,6 +660,35 @@ fn bench_candidate_tier(c: &mut Criterion) {
                 })
             },
         );
+        if total == 1024 {
+            // Candidate generation alone under a fixed budget: `cold`
+            // clears the store's rows and memoised bound rows first, so
+            // it pays the cheap filter pass and every refinement again;
+            // `warm` reads both from the memo. scripts/bench_guard.sh
+            // floors cold/warm (relative.generate_cold_over_warm_1024):
+            // a change that stops memoising collapses it to ~1x.
+            let generator = CandidateGenerator::new(
+                ObjectiveFunction::default(),
+                CandidateConfig { budget: Some(32) },
+            );
+            group.bench_with_input(
+                BenchmarkId::from_parameter("generate_cold_1024"),
+                &total,
+                |b, _| {
+                    b.iter(|| {
+                        store.clear_rows();
+                        black_box(generator.generate(&store_owner, delta_max)).active_count()
+                    })
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::from_parameter("generate_warm_1024"),
+                &total,
+                |b, _| {
+                    b.iter(|| black_box(generator.generate(&store_owner, delta_max)).active_count())
+                },
+            );
+        }
         // Certificate checks, outside the timed loops: admissibility
         // (certified never exceeds measured recall) and the headline
         // floor (certified ≥ 0.95 — exactly 1.0 in auto mode).

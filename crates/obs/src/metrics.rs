@@ -252,8 +252,9 @@ pub fn registry() -> &'static Registry {
 }
 
 /// A point-in-time export of a [`Registry`]: one report that call sites
-/// extend with domain counters (e.g. the store's `StoreCounters` and
-/// sink health published as gauges) before rendering or merging.
+/// extend with domain instruments (e.g. the store's `StoreCounters` as
+/// counters, its occupancy and sink health as gauges) before rendering
+/// or merging.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Monotonic counters by name.
@@ -290,9 +291,15 @@ impl MetricsSnapshot {
     }
 
     /// Set gauge `name` in the snapshot itself (used to graft domain
-    /// counters like `StoreCounters` into the report).
+    /// occupancy values into the report).
     pub fn set_gauge(&mut self, name: &str, value: f64) {
         self.gauges.insert(name.to_owned(), value);
+    }
+
+    /// Set counter `name` in the snapshot itself (used to graft domain
+    /// counts like `StoreCounters` into the report).
+    pub fn set_counter(&mut self, name: &str, value: u64) {
+        self.counters.insert(name.to_owned(), value);
     }
 
     /// Total number of named instruments in the snapshot.

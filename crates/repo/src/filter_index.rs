@@ -445,11 +445,11 @@ impl FilterIndex {
     /// still an admissible upper bound, just a weaker one (never below
     /// the full bound). The exact trigram intersection counts the pass
     /// accumulates are written to `tri` (indexed by label id) so
-    /// individual labels can later be promoted to full precision with
-    /// [`refine_sim_upper_bound`](Self::refine_sim_upper_bound) without
-    /// re-walking the posting lists. Candidate generation runs on this
-    /// pass and refines only the labels whose bound actually influences
-    /// a prune decision.
+    /// individual labels can later be promoted to full precision without
+    /// re-walking the posting lists. The store's memoised bound rows
+    /// ([`LabelStore::bound_row`](crate::LabelStore::bound_row)) run on
+    /// this pass and refine only the labels candidate generation asks
+    /// for.
     pub fn sim_upper_bounds_cheap(
         &self,
         query: &QueryFilter,
@@ -539,7 +539,7 @@ impl FilterIndex {
     /// would have written at `id` (including the raw-equality
     /// convention when `exact == Some(id)`), so promoting a cheap bound
     /// never changes what a full pass would have decided.
-    pub fn refine_sim_upper_bound(
+    pub(crate) fn refine_sim_upper_bound(
         &self,
         query: &QueryFilter,
         label_profiles: &[LabelProfile],

@@ -29,8 +29,12 @@
 //!   row-kernel profiles and cached name-distance rows (full rows plus
 //!   coverage-masked partial rows for candidate subsets), updated
 //!   incrementally on every ingest, shared by every `MatchProblem`
-//!   against the repository.
+//!   against the repository,
+//! * [`bound_rows`] — the store's memo of candidate-tier bound rows:
+//!   per query label, the filter index's cheap bounds plus lazily
+//!   refined full-precision ones.
 
+pub mod bound_rows;
 pub mod cluster;
 pub mod feature;
 pub mod filter_index;
@@ -40,6 +44,7 @@ pub mod intern;
 pub mod repository;
 pub mod store;
 
+pub use bound_rows::BoundRow;
 pub use cluster::{agglomerative_clustering, greedy_clustering, Cluster, Clustering};
 pub use feature::{element_features, feature_similarity, query_features, ElementFeatures};
 pub use filter_index::{FilterIndex, FilterProfile, FilterProfileData, QueryFilter, BOUND_EPS};

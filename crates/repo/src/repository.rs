@@ -68,6 +68,9 @@ pub struct Repository {
     /// would desync from the schema list and break `schema_labels`
     /// indexing.
     store: Arc<LabelStore>,
+    /// Total elements across `schemas`, maintained by every mutation so
+    /// [`total_elements`](Self::total_elements) is O(1).
+    elements: usize,
 }
 
 /// Equality is over the schemas; the store is derived state.
@@ -90,6 +93,7 @@ impl Repository {
         Repository {
             schemas: Arc::new(Vec::new()),
             store: Arc::new(LabelStore::with_config(config)),
+            elements: 0,
         }
     }
 
@@ -111,6 +115,7 @@ impl Repository {
             "store column maps must match the schema list"
         );
         Repository {
+            elements: schemas.iter().map(Schema::len).sum(),
             schemas: Arc::new(schemas),
             store: Arc::new(store),
         }
@@ -122,6 +127,7 @@ impl Repository {
     pub fn add(&mut self, schema: Schema) -> SchemaId {
         let id = SchemaId(self.schemas.len() as u32);
         Arc::make_mut(&mut self.store).add_schema(id, &schema);
+        self.elements += schema.len();
         Arc::make_mut(&mut self.schemas).push(schema);
         id
     }
@@ -150,6 +156,7 @@ impl Repository {
             std::mem::replace(&mut schemas[sid.index()], Schema::new(""))
         };
         Arc::make_mut(&mut self.store).remove_schema(sid, &old);
+        self.elements -= old.len();
         true
     }
 
@@ -174,8 +181,10 @@ impl Repository {
                 std::mem::replace(&mut schemas[sid.index()], Schema::new(""))
             };
             Arc::make_mut(&mut self.store).remove_schema(sid, &old);
+            self.elements -= old.len();
         }
         Arc::make_mut(&mut self.store).reingest_schema(sid, &schema);
+        self.elements += schema.len();
         Arc::make_mut(&mut self.schemas)[sid.index()] = schema;
         true
     }
@@ -205,9 +214,9 @@ impl Repository {
         self.store.token_index()
     }
 
-    /// Drop the store's cached score rows — benches use this to time a
-    /// genuinely cold cost-matrix fill. Affects every clone sharing the
-    /// store.
+    /// Drop the store's cached score rows and memoised candidate-tier
+    /// bound rows ([`LabelStore::clear_rows`]) — benches use this to time
+    /// a genuinely cold request. Affects every clone sharing the store.
     pub fn clear_score_rows(&self) {
         self.store.clear_rows();
     }
@@ -242,7 +251,7 @@ impl Repository {
 
     /// Total number of elements across all schemas.
     pub fn total_elements(&self) -> usize {
-        self.schemas.iter().map(Schema::len).sum()
+        self.elements
     }
 
     /// Iterate over every element in the repository.

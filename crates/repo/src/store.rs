@@ -66,9 +66,12 @@
 //! least-recently-used row whenever it would exceed the bound. Evicted
 //! rows are simply recomputed (bitwise identically) on next sight, so
 //! the bound trades pair evaluations for memory and never affects
-//! results. Hits, misses, and evictions are counted and surfaced through
-//! the [`StoreCounters`] snapshot, so warm-path behaviour under memory
-//! pressure stays measurable.
+//! results. Partial rows and memoised bound rows are held to the same
+//! bound by the same rule: one recency clock stamps all three kinds,
+//! and each kind keeps at most `max_cached_rows` entries. Hits, misses,
+//! and evictions are counted and surfaced through the [`StoreCounters`]
+//! snapshot, so warm-path behaviour under memory pressure stays
+//! measurable.
 //!
 //! # Batched queries
 //!
@@ -107,7 +110,11 @@
 //! the candidate tier's admissible similarity upper bounds are computed
 //! from ([`LabelStore::similarity_upper_bounds`]); it is persisted
 //! through `smx-persist`'s FILTERS section and rebuilt from label text
-//! when a snapshot predates it or its section is damaged.
+//! when a snapshot predates it or its section is damaged. The bounds a
+//! query label gets from it are memoised per label as **bound rows**
+//! ([`LabelStore::bound_row`], see [`bound_rows`](crate::bound_rows)):
+//! valid while their length equals the label count, shared by clones,
+//! never persisted, and bounded like the row caches.
 //!
 //! # Spill: trading disk for recompute
 //!
@@ -140,6 +147,7 @@
 //! stored row: all tiers are bitwise-identical by the kernel dispatch
 //! contract, differential-tested in `smx_text`.
 
+use crate::bound_rows::{BoundMemo, BoundRow};
 use crate::filter_index::{FilterIndex, FilterProfileData, QueryFilter};
 use crate::index::TokenIndex;
 use crate::intern::{LabelId, LabelInterner};
@@ -148,6 +156,7 @@ use parking_lot::RwLock;
 use smx_text::{KernelVariant, LabelProfile, RowKernel};
 use smx_xml::Schema;
 use std::collections::HashMap;
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -401,6 +410,12 @@ pub struct StoreCounters {
     /// Partial-row fill operations: subset requests that ran the kernel
     /// for at least one missing column.
     pub partial_row_fills: u64,
+    /// Candidate-tier bound rows served from the memo
+    /// ([`LabelStore::bound_row`]).
+    pub bound_row_hits: u64,
+    /// Candidate-tier bound rows built (memo misses: one cheap filter
+    /// pass each).
+    pub bound_row_builds: u64,
     /// Schemas removed from the repository
     /// ([`Repository::remove_schema`](crate::Repository::remove_schema)).
     pub schema_removes: u64,
@@ -429,6 +444,8 @@ impl StoreCounters {
             candidate_hits: self.candidate_hits + other.candidate_hits,
             candidate_pruned: self.candidate_pruned + other.candidate_pruned,
             partial_row_fills: self.partial_row_fills + other.partial_row_fills,
+            bound_row_hits: self.bound_row_hits + other.bound_row_hits,
+            bound_row_builds: self.bound_row_builds + other.bound_row_builds,
             schema_removes: self.schema_removes + other.schema_removes,
             schema_replaces: self.schema_replaces + other.schema_replaces,
         }
@@ -452,12 +469,54 @@ impl std::fmt::Display for StoreCounters {
             "  candidate tier: {} column hits, {} columns pruned, {} partial fills",
             self.candidate_hits, self.candidate_pruned, self.partial_row_fills
         )?;
+        writeln!(
+            f,
+            "  bound rows: {} memo hits, {} builds",
+            self.bound_row_hits, self.bound_row_builds
+        )?;
         write!(
             f,
             "  mutations: {} schema removes, {} schema replaces",
             self.schema_removes, self.schema_replaces
         )
     }
+}
+
+/// Remove the globally least-recently-used entries across `maps` until
+/// they hold at most `cap` entries in total, returning
+/// `(map index, key, entry)` per victim. Full rows, partial rows, and
+/// memoised bound rows are all stamped from the store's one recency
+/// clock; `last_used` reads an entry's stamp. One stamp scan plus one
+/// partial sort of the victims, so tightening the bound on a large live
+/// cache stays `O(len log len)`.
+pub(crate) fn evict_lru<V, M: DerefMut<Target = HashMap<String, V>>>(
+    maps: &mut [M],
+    cap: usize,
+    last_used: impl Fn(&V) -> u64,
+) -> Vec<(usize, String, V)> {
+    let total: usize = maps.iter().map(|m| m.len()).sum();
+    let Some(excess) = total.checked_sub(cap).filter(|&e| e > 0) else {
+        return Vec::new();
+    };
+    let last_used = &last_used;
+    let mut stamps: Vec<(u64, usize, String)> = maps
+        .iter()
+        .enumerate()
+        .flat_map(|(i, map)| {
+            map.iter()
+                .map(move |(key, entry)| (last_used(entry), i, key.clone()))
+        })
+        .collect();
+    stamps.select_nth_unstable(excess - 1);
+    stamps[..excess]
+        .iter()
+        .map(|(_, i, key)| {
+            let (key, entry) = maps[*i]
+                .remove_entry(key)
+                .expect("victim key came from the map");
+            (*i, key, entry)
+        })
+        .collect()
 }
 
 /// One cached score row plus its recency stamp. The stamp is atomic so
@@ -478,13 +537,24 @@ impl Clone for CachedRow {
 
 /// A coverage-masked partial score row for candidate subsets: values
 /// for the covered columns (NaN holes elsewhere) plus a bitset of which
-/// columns are valid. Kept in a map separate from the full-row cache so
-/// the two can never be confused; a partial may be narrower than the
-/// label list after later `add`s (columns past its end are uncovered).
-#[derive(Clone)]
+/// columns are valid, and a recency stamp like [`CachedRow`]'s. Kept in
+/// a map separate from the full-row cache so the two can never be
+/// confused; a partial may be narrower than the label list after later
+/// `add`s (columns past its end are uncovered).
 struct PartialRow {
     row: Arc<Vec<f64>>,
     coverage: Vec<u64>,
+    last_used: AtomicU64,
+}
+
+impl Clone for PartialRow {
+    fn clone(&self) -> Self {
+        PartialRow {
+            row: Arc::clone(&self.row),
+            coverage: self.coverage.clone(),
+            last_used: AtomicU64::new(self.last_used.load(Relaxed)),
+        }
+    }
 }
 
 /// Whether bit `i` is set in a `u64` bitset.
@@ -658,6 +728,14 @@ pub struct LabelStore {
     /// The *configured* shard count (`0` = auto), reported by
     /// [`config`](Self::config); `shards.len()` is the resolved count.
     config_shards: usize,
+    /// Memoised candidate-tier bound rows ([`Self::bound_row`]). Shared
+    /// by clones; replaced by a fresh memo whenever ingest interns new
+    /// labels, so every row in it matches this store's label list.
+    bound_memo: Arc<BoundMemo>,
+    /// Bound rows served from the memo.
+    bound_row_hits: AtomicU64,
+    /// Bound rows built on a memo miss.
+    bound_row_builds: AtomicU64,
     /// Monotonic recency clock for the LRU stamps.
     clock: AtomicU64,
     /// LRU bound on `rows` (`UNBOUNDED` = no bound). Atomic so tests and
@@ -713,6 +791,9 @@ impl LabelStore {
             generations: Vec::new(),
             shards: (0..shard_count).map(|_| Shard::new()).collect(),
             config_shards: config.shards,
+            bound_memo: Arc::default(),
+            bound_row_hits: AtomicU64::new(0),
+            bound_row_builds: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             max_cached_rows: AtomicUsize::new(config.max_cached_rows.unwrap_or(UNBOUNDED)),
             batch_threads: config.batch_threads,
@@ -751,12 +832,15 @@ impl LabelStore {
     }
 
     /// Change the LRU bound on a live store, evicting immediately if the
-    /// cache already exceeds the new bound. `None` removes the bound.
+    /// cache — full rows, partial rows, or memoised bound rows — already
+    /// exceeds the new bound. `None` removes the bound.
     pub fn set_max_cached_rows(&self, max: Option<usize>) {
-        self.max_cached_rows
-            .store(max.unwrap_or(UNBOUNDED), Relaxed);
+        let cap = max.unwrap_or(UNBOUNDED);
+        self.max_cached_rows.store(cap, Relaxed);
         let victims = self.evict_over_cap_global();
         self.spill_victims(victims);
+        self.evict_partials_over_cap();
+        self.bound_memo.shrink_to(cap);
     }
 
     /// Install (or remove, with `None`) the [`EvictionSink`] evicted
@@ -815,6 +899,12 @@ impl LabelStore {
             .fetch_add((self.interner.len() - known) as u64, Relaxed);
         self.label_schemas
             .resize_with(self.interner.len(), Vec::new);
+        if self.interner.len() > known {
+            // Every memoised bound row is now one label short. A fresh
+            // memo rebuilds them on next use and keeps any clone still
+            // on the old label list from ever reading this lineage's rows.
+            self.bound_memo = Arc::default();
+        }
         labels
     }
 
@@ -975,39 +1065,31 @@ impl LabelStore {
             .sim_upper_bounds(query, &self.profiles, self.interner.get(query.raw()), out);
     }
 
-    /// The cheap variant of
-    /// [`similarity_upper_bounds`](Self::similarity_upper_bounds): the
-    /// token-set lane is capped at its trivial `1.0`, so every bound is
-    /// still admissible but weaker. The pass's exact trigram
-    /// intersection counts land in `tri`, keyed by label id, for later
-    /// per-label promotion.
-    pub fn similarity_upper_bounds_cheap(
-        &self,
-        query: &QueryFilter,
-        out: &mut Vec<f64>,
-        tri: &mut Vec<u32>,
-    ) {
-        self.filters
-            .sim_upper_bounds_cheap(query, self.interner.get(query.raw()), out, tri);
-    }
-
-    /// Promote one label's cheap bound to full precision: returns
-    /// exactly the value [`similarity_upper_bounds`](Self::similarity_upper_bounds)
-    /// would have produced for it. `tri_count` must be the trigram
-    /// intersection the cheap pass recorded for this label.
-    pub fn refine_similarity_upper_bound(
-        &self,
-        query: &QueryFilter,
-        id: LabelId,
-        tri_count: u32,
-    ) -> f64 {
-        self.filters.refine_sim_upper_bound(
+    /// The candidate-tier bound row of `query`: the cheap admissible
+    /// similarity upper bound against every stored label, with
+    /// full-precision bounds refined per label on demand — each value
+    /// exactly what [`similarity_upper_bounds`](Self::similarity_upper_bounds)'s
+    /// passes would compute. Served from the store's memo when the query
+    /// was bounded before against the same label list; otherwise built
+    /// with one cheap pass and memoised (see
+    /// [`bound_rows`](crate::bound_rows)). Counted as
+    /// `bound_row_hits` / `bound_row_builds` in [`StoreCounters`].
+    pub fn bound_row(&self, query: &str) -> BoundRow<'_> {
+        let cap = self.max_cached_rows.load(Relaxed);
+        let entry = self.bound_memo.row(
             query,
-            &self.profiles,
-            self.interner.get(query.raw()),
-            id,
-            tri_count,
-        )
+            &self.filters,
+            || self.interner.get(query),
+            self.tick(),
+            cap,
+        );
+        let counter = if entry.1 {
+            &self.bound_row_hits
+        } else {
+            &self.bound_row_builds
+        };
+        counter.fetch_add(1, Relaxed);
+        BoundRow::new(entry, &self.filters, &self.profiles)
     }
 
     /// The dense distance row of `query` against every stored label:
@@ -1194,12 +1276,15 @@ impl LabelStore {
             let (prior, covered): (Option<Arc<Vec<f64>>>, Vec<bool>) = {
                 let partials = shard.partial_rows.read();
                 match partials.get(q) {
-                    Some(p) => (
-                        Some(Arc::clone(&p.row)),
-                        cols.iter()
-                            .map(|&c| c < p.row.len() && bit_get(&p.coverage, c))
-                            .collect(),
-                    ),
+                    Some(p) => {
+                        p.last_used.store(self.tick(), Relaxed);
+                        (
+                            Some(Arc::clone(&p.row)),
+                            cols.iter()
+                                .map(|&c| c < p.row.len() && bit_get(&p.coverage, c))
+                                .collect(),
+                        )
+                    }
                     None => (None, vec![false; cols.len()]),
                 }
             };
@@ -1241,7 +1326,9 @@ impl LabelStore {
                 let entry = partials.entry(q.to_owned()).or_insert_with(|| PartialRow {
                     row: Arc::new(Vec::new()),
                     coverage: Vec::new(),
+                    last_used: AtomicU64::new(0),
                 });
+                entry.last_used.store(self.tick(), Relaxed);
                 let vec = Arc::make_mut(&mut entry.row);
                 if vec.len() < n {
                     vec.resize(n, f64::NAN);
@@ -1259,6 +1346,9 @@ impl LabelStore {
             for &slot in &slots {
                 out[slot] = Some(Arc::clone(&row));
             }
+        }
+        if stats.pair_evals > 0 {
+            self.evict_partials_over_cap();
         }
         (
             out.into_iter()
@@ -1509,39 +1599,33 @@ impl LabelStore {
             return Vec::new();
         }
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.rows.write()).collect();
-        let total: usize = guards.iter().map(|g| g.len()).sum();
-        let Some(excess) = total.checked_sub(cap).filter(|&e| e > 0) else {
-            return Vec::new();
-        };
-        let mut stamps: Vec<(u64, usize, String)> = guards
-            .iter()
-            .enumerate()
-            .flat_map(|(si, cache)| {
-                cache
-                    .iter()
-                    .map(move |(key, entry)| (entry.last_used.load(Relaxed), si, key.clone()))
-            })
-            .collect();
-        stamps.select_nth_unstable(excess - 1);
-        let victims = stamps[..excess]
-            .iter()
-            .map(|(_, si, key)| {
-                let (key, entry) = guards[*si]
-                    .remove_entry(key)
-                    .expect("victim key came from the cache");
-                self.shards[*si]
-                    .counters
-                    .row_evictions
-                    .fetch_add(1, Relaxed);
-                (*si, key, entry.row)
-            })
-            .collect();
-        if smx_obs::enabled() {
+        let victims: Vec<_> =
+            evict_lru(&mut guards, cap, |e: &CachedRow| e.last_used.load(Relaxed))
+                .into_iter()
+                .map(|(si, key, entry)| {
+                    self.shards[si].counters.row_evictions.fetch_add(1, Relaxed);
+                    (si, key, entry.row)
+                })
+                .collect();
+        if smx_obs::enabled() && !victims.is_empty() {
             smx_obs::registry()
                 .counter("store.row_evictions")
-                .add(excess as u64);
+                .add(victims.len() as u64);
         }
         victims
+    }
+
+    /// Evict globally least-recently-used partial rows past the bound,
+    /// under the same recency rule as full rows (all shards' partial
+    /// maps locked in index order). Partial rows are never spilled: a
+    /// dropped one is recomputed column by column on next use.
+    fn evict_partials_over_cap(&self) {
+        let cap = self.max_cached_rows.load(Relaxed);
+        if cap == UNBOUNDED {
+            return;
+        }
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.partial_rows.write()).collect();
+        let _ = evict_lru(&mut guards, cap, |e: &PartialRow| e.last_used.load(Relaxed));
     }
 
     /// Offer evicted rows to the installed sink (if any). Runs with no
@@ -1585,20 +1669,38 @@ impl LabelStore {
         self.shards.get(shard).map_or(0, |s| s.rows.read().len())
     }
 
+    /// Number of query labels with a coverage-masked partial row
+    /// (summed over the shards).
+    pub fn cached_partial_rows(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.partial_rows.read().len())
+            .sum()
+    }
+
+    /// Number of memoised candidate-tier bound rows
+    /// ([`bound_row`](Self::bound_row)).
+    pub fn cached_bound_rows(&self) -> usize {
+        self.bound_memo.len()
+    }
+
     /// Whether `query` currently has a cached (possibly stale-prefix)
     /// row. Read-only: does not refresh LRU recency or count a lookup.
     pub fn has_cached_row(&self, query: &str) -> bool {
         self.shard_of(query).rows.read().contains_key(query)
     }
 
-    /// Drop every cached score row *and* every partial row (profiles
-    /// and indexes stay). Benches use this to measure a genuinely cold
-    /// fill.
+    /// Drop every cached score row, every partial row, *and* every
+    /// memoised bound row (profiles and indexes stay). Benches use this
+    /// to measure a genuinely cold request: score rows and candidate
+    /// bounds are both recomputed on next use. Affects every clone
+    /// sharing the caches.
     pub fn clear_rows(&self) {
         for shard in self.shards.iter() {
             shard.rows.write().clear();
             shard.partial_rows.write().clear();
         }
+        self.bound_memo.clear();
     }
 
     /// A consistent snapshot of every work counter.
@@ -1617,6 +1719,8 @@ impl LabelStore {
             pair_evals: self.pair_evals.load(Relaxed),
             schema_removes: self.schema_removes.load(Relaxed),
             schema_replaces: self.schema_replaces.load(Relaxed),
+            bound_row_hits: self.bound_row_hits.load(Relaxed),
+            bound_row_builds: self.bound_row_builds.load(Relaxed),
             ..StoreCounters::default()
         };
         for shard in self.shards.iter() {
@@ -1641,38 +1745,46 @@ impl LabelStore {
     }
 
     /// Export one merged observability report: a snapshot of the global
-    /// `smx-obs` metrics registry with this store's [`StoreCounters`],
-    /// cache occupancy, salvage events, and the installed sink's
-    /// [`SinkHealth`] grafted in as gauges. This is the
-    /// `MetricsSnapshot` examples and `smx-bench` render — one report
-    /// covering both the tracing-side instruments and the store's own
-    /// counters.
+    /// `smx-obs` metrics registry with this store's own instruments
+    /// grafted in — monotonic counts ([`StoreCounters`], salvage
+    /// events) as counters, occupancy (cached rows of each kind, live
+    /// schemas, orphaned labels, shards) and the installed sink's
+    /// [`SinkHealth`] as gauges. Store counts whose name a gated
+    /// registry counter already uses carry a `_total` suffix. This is
+    /// the `MetricsSnapshot` examples and `smx-bench` render — one
+    /// report covering both the tracing-side instruments and the
+    /// store's own counters.
     pub fn publish_metrics(&self) -> smx_obs::MetricsSnapshot {
         let health = self.health();
         let mut snapshot = smx_obs::registry().snapshot();
         let c = health.counters;
-        snapshot.set_gauge("store.profile_builds", c.profile_builds as f64);
-        snapshot.set_gauge("store.pair_evals", c.pair_evals as f64);
-        snapshot.set_gauge("store.row_lookups", c.row_lookups as f64);
-        snapshot.set_gauge("store.row_hits", c.row_hits as f64);
-        snapshot.set_gauge("store.row_misses", c.row_misses as f64);
-        snapshot.set_gauge("store.row_evictions_total", c.row_evictions as f64);
-        snapshot.set_gauge("store.row_spills_total", c.row_spills as f64);
-        snapshot.set_gauge(
-            "store.row_spill_recoveries_total",
-            c.row_spill_recoveries as f64,
-        );
-        snapshot.set_gauge(
-            "store.row_spill_failures_total",
-            c.row_spill_failures as f64,
-        );
-        snapshot.set_gauge("store.candidate_hits", c.candidate_hits as f64);
-        snapshot.set_gauge("store.candidate_pruned", c.candidate_pruned as f64);
-        snapshot.set_gauge("store.partial_row_fills", c.partial_row_fills as f64);
+        for (name, value) in [
+            ("store.profile_builds", c.profile_builds),
+            ("store.pair_evals", c.pair_evals),
+            ("store.row_lookups", c.row_lookups),
+            ("store.row_hits", c.row_hits),
+            ("store.row_misses", c.row_misses),
+            ("store.row_evictions_total", c.row_evictions),
+            ("store.row_spills_total", c.row_spills),
+            ("store.row_spill_recoveries_total", c.row_spill_recoveries),
+            ("store.row_spill_failures_total", c.row_spill_failures),
+            ("store.candidate_hits", c.candidate_hits),
+            ("store.candidate_pruned", c.candidate_pruned),
+            ("store.partial_row_fills", c.partial_row_fills),
+            ("store.bound_row_hits", c.bound_row_hits),
+            ("store.bound_row_builds", c.bound_row_builds),
+            ("store.salvage_events", health.salvage_events),
+            ("store.schema_removes_total", c.schema_removes),
+            ("store.schema_replaces_total", c.schema_replaces),
+        ] {
+            snapshot.set_counter(name, value);
+        }
         snapshot.set_gauge("store.cached_rows", health.cached_rows as f64);
-        snapshot.set_gauge("store.salvage_events", health.salvage_events as f64);
-        snapshot.set_gauge("store.schema_removes", c.schema_removes as f64);
-        snapshot.set_gauge("store.schema_replaces", c.schema_replaces as f64);
+        snapshot.set_gauge(
+            "store.cached_partial_rows",
+            self.cached_partial_rows() as f64,
+        );
+        snapshot.set_gauge("store.cached_bound_rows", self.cached_bound_rows() as f64);
         snapshot.set_gauge("store.live_schemas", self.live_schema_count() as f64);
         snapshot.set_gauge("store.orphaned_labels", self.orphaned_labels() as f64);
         snapshot.set_gauge("store.shards", self.shards.len() as f64);
@@ -1867,6 +1979,9 @@ impl LabelStore {
             generations,
             shards,
             config_shards: state.shards,
+            bound_memo: Arc::default(),
+            bound_row_hits: AtomicU64::new(0),
+            bound_row_builds: AtomicU64::new(0),
             clock: AtomicU64::new(clock),
             max_cached_rows: AtomicUsize::new(cap),
             batch_threads: state.batch_threads,
@@ -1927,6 +2042,9 @@ impl Clone for LabelStore {
             generations: self.generations.clone(),
             shards,
             config_shards: self.config_shards,
+            bound_memo: Arc::clone(&self.bound_memo),
+            bound_row_hits: AtomicU64::new(self.bound_row_hits.load(Relaxed)),
+            bound_row_builds: AtomicU64::new(self.bound_row_builds.load(Relaxed)),
             clock: AtomicU64::new(self.clock.load(Relaxed)),
             max_cached_rows: AtomicUsize::new(self.max_cached_rows.load(Relaxed)),
             batch_threads: self.batch_threads,
@@ -1947,14 +2065,8 @@ impl std::fmt::Debug for LabelStore {
             .field("schemas", &self.schema_labels.len())
             .field("live_schemas", &self.live_schema_count())
             .field("cached_rows", &self.cached_rows())
-            .field(
-                "partial_rows",
-                &self
-                    .shards
-                    .iter()
-                    .map(|s| s.partial_rows.read().len())
-                    .sum::<usize>(),
-            )
+            .field("partial_rows", &self.cached_partial_rows())
+            .field("bound_rows", &self.cached_bound_rows())
             .field("shards", &self.shards.len())
             .field("config", &self.config())
             .field("kernel_variant", &KernelVariant::active())
@@ -2717,6 +2829,7 @@ mod tests {
                 fresh.add(mutated.schema(sid).clone());
             }
         }
+        assert_eq!(mutated.total_elements(), fresh.total_elements());
         // Token postings identical to the rebuild (sorted insert = the
         // incremental-equals-rebuild contract under mutation)...
         for tok in fresh.token_index().tokens() {
@@ -2754,6 +2867,152 @@ mod tests {
             let label = f.interner().resolve(LabelId(fid as u32));
             let mid = m.interner().get(label).expect("label in mutated store");
             assert_eq!(m_row[mid.index()].to_bits(), d.to_bits(), "{label}");
+        }
+    }
+
+    /// Assert `store`'s bound row of `query` equals the filter index's
+    /// dense passes bitwise: cheap bounds and every refinement.
+    fn assert_bound_row_is_exact(store: &LabelStore, query: &str) {
+        let row = store.bound_row(query);
+        let filter = QueryFilter::new(query);
+        let exact = store.interner().get(query);
+        let (mut cheap, mut tri, mut full) = (Vec::new(), Vec::new(), Vec::new());
+        store
+            .filter_index()
+            .sim_upper_bounds_cheap(&filter, exact, &mut cheap, &mut tri);
+        store.similarity_upper_bounds(&filter, &mut full);
+        assert_eq!(row.cheap().len(), store.len());
+        for id in 0..store.len() {
+            let lid = LabelId(id as u32);
+            assert_eq!(row.cheap()[id].to_bits(), cheap[id].to_bits(), "{query:?}");
+            assert_eq!(row.full(lid).to_bits(), full[id].to_bits(), "{query:?}");
+        }
+    }
+
+    #[test]
+    fn bound_rows_are_memoised_and_exact() {
+        let r = repo();
+        let store = r.store();
+        assert_bound_row_is_exact(store, "bookTitle");
+        assert!(!store.bound_row("orderNo").memo_hit());
+        assert!(store.bound_row("orderNo").memo_hit());
+        assert_bound_row_is_exact(store, "bookTitle");
+        let c = store.counters();
+        assert_eq!((c.bound_row_builds, c.bound_row_hits), (2, 2));
+        assert_eq!(store.cached_bound_rows(), 2);
+        assert!(c.to_string().contains("bound rows: 2 memo hits, 2 builds"));
+        // Refinements persist across handles: a second handle reads the
+        // first one's refinement without recomputing it.
+        let first = store.bound_row("orderNo").full(LabelId(2));
+        assert_eq!(store.bound_row("orderNo").full(LabelId(2)), first);
+        // clear_rows drops memoised bound rows with the score rows.
+        store.clear_rows();
+        assert_eq!(store.cached_bound_rows(), 0);
+        assert!(!store.bound_row("orderNo").memo_hit());
+    }
+
+    #[test]
+    fn interning_labels_starts_a_fresh_memo_and_clones_diverge_cleanly() {
+        let mut r1 = repo();
+        r1.store().bound_row("title");
+        let mut r2 = r1.clone();
+        // Clones share the memo until one of them interns new labels.
+        assert!(r2.store().bound_row("title").memo_hit());
+        r1.add(
+            SchemaBuilder::new("a")
+                .root("shop")
+                .leaf("title", PrimitiveType::String)
+                .build(),
+        );
+        assert!(
+            r1.store().bound_row("title").memo_hit(),
+            "an add interning nothing keeps the memo"
+        );
+        r1.add(SchemaBuilder::new("b").root("lineageOne").build());
+        r2.add(SchemaBuilder::new("c").root("lineageTwo").build());
+        assert_eq!(r1.store().len(), r2.store().len());
+        for r in [&r1, &r2] {
+            // The raw-equal label moved under the query ("lineageOne" is
+            // interned in r1 only): each lineage rebuilds its own row.
+            assert!(!r.store().bound_row("lineageOne").memo_hit());
+            assert_bound_row_is_exact(r.store(), "lineageOne");
+            assert_bound_row_is_exact(r.store(), "title");
+        }
+    }
+
+    #[test]
+    fn partial_and_bound_rows_respect_the_cache_bound() {
+        let (r, queries) = wide_repo(StoreConfig {
+            max_cached_rows: Some(3),
+            batch_threads: 1,
+            shards: 4,
+        });
+        let store = r.store();
+        for q in &queries {
+            store.score_rows_subset(&[q.as_str()], &[0, 1]);
+            store.bound_row(q);
+            assert!(store.cached_partial_rows() <= 3);
+            assert!(store.cached_bound_rows() <= 3);
+        }
+        assert_eq!(store.cached_partial_rows(), 3);
+        // The most recent queries survive, by the same recency rule as
+        // full rows.
+        let last = queries.last().unwrap().as_str();
+        assert!(store.bound_row(last).memo_hit());
+        let evals = store.pair_evals();
+        store.score_rows_subset(&[last], &[0, 1]);
+        assert_eq!(store.pair_evals(), evals, "recent partial row kept");
+        store.score_rows_subset(&[queries[0].as_str()], &[0, 1]);
+        assert_eq!(store.pair_evals(), evals + 2, "oldest partial row evicted");
+        // Tightening the bound shrinks every kind at once.
+        store.set_max_cached_rows(Some(1));
+        assert_eq!(store.cached_partial_rows(), 1);
+        assert_eq!(store.cached_bound_rows(), 1);
+    }
+
+    #[test]
+    fn published_metrics_file_counts_as_counters_and_occupancy_as_gauges() {
+        let r = repo();
+        let store = r.store();
+        store.score_row("title");
+        store.bound_row("title");
+        let snapshot = store.publish_metrics();
+        let c = store.counters();
+        for (name, value) in [
+            ("store.profile_builds", c.profile_builds),
+            ("store.pair_evals", c.pair_evals),
+            ("store.row_lookups", c.row_lookups),
+            ("store.row_hits", c.row_hits),
+            ("store.row_misses", c.row_misses),
+            ("store.row_evictions_total", c.row_evictions),
+            ("store.row_spills_total", c.row_spills),
+            ("store.row_spill_recoveries_total", c.row_spill_recoveries),
+            ("store.row_spill_failures_total", c.row_spill_failures),
+            ("store.candidate_hits", c.candidate_hits),
+            ("store.candidate_pruned", c.candidate_pruned),
+            ("store.partial_row_fills", c.partial_row_fills),
+            ("store.bound_row_hits", c.bound_row_hits),
+            ("store.bound_row_builds", c.bound_row_builds),
+            ("store.salvage_events", 0),
+            ("store.schema_removes_total", c.schema_removes),
+            ("store.schema_replaces_total", c.schema_replaces),
+        ] {
+            assert_eq!(snapshot.counters.get(name), Some(&value), "counter {name}");
+            assert!(!snapshot.gauges.contains_key(name), "{name} is not a gauge");
+        }
+        for (name, value) in [
+            ("store.cached_rows", 1.0),
+            ("store.cached_partial_rows", 0.0),
+            ("store.cached_bound_rows", 1.0),
+            ("store.live_schemas", 2.0),
+            ("store.orphaned_labels", 0.0),
+            ("store.shards", store.shard_count() as f64),
+        ] {
+            assert_eq!(snapshot.gauges.get(name), Some(&value), "gauge {name}");
+            assert!(
+                !snapshot.counters.contains_key(name),
+                "{name} is not a counter"
+            );
         }
     }
 }

@@ -143,6 +143,13 @@ else:
     # cores (on one core there is no concurrency to measure), so this
     # floor is in HOST_DEPENDENT: when the fresh run did not measure
     # it, the guard skips it loudly instead of failing.
+    # The generate_cold_over_warm_1024 floor holds the candidate tier to
+    # its bound-row memo: generation against a store whose memoised
+    # bound rows were just cleared must stay clearly slower than
+    # generation against a warm memo. A change that stops memoising
+    # collapses the ratio to ~1x. Four runs on a 2-core host measured
+    # 4.15, 6.98, 7.10 and 7.19; the floor is 3.0, below 80% of the
+    # lowest.
     FLOORS = {
         "kernel_reference_over_active": 4.0,
         "kernel_scalar_over_active": 1.25,
@@ -150,6 +157,7 @@ else:
         "salvage_cold_over_load": 1.5,
         "batch_sequential_over_batch": 1.2,
         "candidate_over_exhaustive_1024": 5.0,
+        "generate_cold_over_warm_1024": 3.0,
         "pipeline_over_exhaustive_1024": 1.2,
         "trace_overhead_disabled": 0.95,
         "sharded_sweep_over_single_lock": 1.5,

@@ -152,9 +152,16 @@ doc = {
     # schemas and amortises as the repository grows — the headline is
     # the 1024-schema ratio, guarded as
     # relative.candidate_over_exhaustive_1024.
+    # generate_*_1024 times candidate generation alone (budget 32) at
+    # 1024 schemas: "cold" clears the store's rows and memoised bound
+    # rows first, "warm" reads bounds from the memo. Their ratio is
+    # guarded as relative.generate_cold_over_warm_1024, so a change that
+    # stops memoising fails CI.
     "candidate_tier": {
         "delta_max": 0.1,
         "sizes": tier,
+        "generate_cold_1024_ns": entries.get("candidate_tier/generate_cold_1024"),
+        "generate_warm_1024_ns": entries.get("candidate_tier/generate_warm_1024"),
     },
     # The composed filter->refine pipeline (candidate filter -> beam
     # filter -> exhaustive-on-survivors) racing the monolithic
@@ -233,6 +240,10 @@ doc = {
         "candidate_over_exhaustive_1024": ratio(
             entries.get("candidate_tier/exhaustive_1024"),
             entries.get("candidate_tier/candidate_1024"),
+        ),
+        "generate_cold_over_warm_1024": ratio(
+            entries.get("candidate_tier/generate_cold_1024"),
+            entries.get("candidate_tier/generate_warm_1024"),
         ),
         "pipeline_over_exhaustive_1024": ratio(
             entries.get("pipeline/exhaustive_1024"),
