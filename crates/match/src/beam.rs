@@ -65,6 +65,7 @@ impl Matcher for BeamMatcher {
                 continue;
             }
             let table = matrix.table(sid);
+            let shapes = problem.repository().store().schema_shapes(sid);
             // Beam of partial assignments: (partial cost, chosen indices).
             let mut beam: Vec<(f64, Vec<usize>)> = vec![(0.0, Vec::new())];
             for level in 0..k {
@@ -79,13 +80,10 @@ impl Matcher for BeamMatcher {
                         }
                         let mut step = node_cost;
                         if let Some(p) = parent {
-                            let parent_target = NodeId(chosen[p.index()] as u32);
                             step += self.objective.config().structure_weight
-                                * self.objective.edge_penalty(
-                                    schema,
-                                    parent_target,
-                                    NodeId(cand as u32),
-                                );
+                                * self
+                                    .objective
+                                    .shape_edge_penalty(shapes[chosen[p.index()]], shapes[cand]);
                         }
                         let mut extended = chosen.clone();
                         extended.push(cand);

@@ -144,16 +144,19 @@ const UNTOUCHED: u32 = u32::MAX;
 /// bound either way, so minima, totals and caps built from them certify
 /// conservatively; callers that *rank* or *cap* schemas first promote
 /// the surviving schemas' vocabulary to full precision, once per label
-/// ([`LaneSweep::promote_schema`]) — loose caps would make a
-/// certificate admissible but vacuous.
+/// ([`LaneSweep::promote`]) — loose caps would make a
+/// certificate admissible but vacuous. Bounds are stored label-major,
+/// so each of these is one pass over the schema's contiguous label
+/// column (the store's column arena), reading every lane of a label
+/// from one place.
 struct LaneSweep<'a> {
     objective: &'a ObjectiveFunction,
     /// One memoised bound row per lane.
     rows: Vec<BoundRow<'a>>,
-    /// Per lane, each label's node-cost lower bound as this request
-    /// uses it: from the cheap bound, or from the full-precision one
-    /// once promoted.
-    bounds: Vec<Vec<f64>>,
+    /// Each label's node-cost lower bound per lane, as this request
+    /// uses it — from the cheap bound, or from the full-precision one
+    /// once promoted — label-major: `bounds[lid * n_lanes + lane]`.
+    bounds: Vec<f64>,
     level_lane: Vec<usize>,
     lane_mult: Vec<f64>,
     clamp: f64,
@@ -174,8 +177,16 @@ struct LaneSweep<'a> {
     refined_count: usize,
     /// Lanes whose bound row came from the store's memo.
     memo_hits: usize,
-    /// Labels [`LaneSweep::promote_schema`] has promoted in every lane.
+    /// Labels [`LaneSweep::promote`] has promoted in every lane.
     promoted: Vec<bool>,
+    /// Per lane, the minimum over the schema [`LaneSweep::fill_minima`]
+    /// last filled.
+    lane_min: Vec<f64>,
+    /// Per lane, scratch for [`LaneSweep::cap`]: the room a node's
+    /// bound must fit...
+    lane_room: Vec<f64>,
+    /// ...and how many of the schema's nodes fit it.
+    lane_fits: Vec<u32>,
 }
 
 impl<'a> LaneSweep<'a> {
@@ -219,23 +230,25 @@ impl<'a> LaneSweep<'a> {
         let n_lanes = rows.len();
         let floor = (objective.blend(1.0 - BOUND_EPS, 0.0) - BOUND_EPS).max(0.0);
         let clamp = floor.min(1.05 * budget / k as f64);
-        let mut bounds: Vec<Vec<f64>> = Vec::with_capacity(n_lanes);
+        let mut bounds = vec![0.0f64; store.len() * n_lanes];
         let mut slot = vec![UNTOUCHED; repo.len()];
         let mut n_touched = 0u32;
         let mut lanelb: Vec<f64> = Vec::new();
         let mut refined_count = 0usize;
         for (d, row) in rows.iter().enumerate() {
-            let mut lane: Vec<f64> = row.cheap().iter().map(|&ub| to_lb(objective, ub)).collect();
-            for (idx, lb) in lane.iter_mut().enumerate() {
-                if *lb >= clamp {
+            for (idx, &ub) in row.cheap().iter().enumerate() {
+                let cell = &mut bounds[idx * n_lanes + d];
+                *cell = to_lb(objective, ub);
+                if *cell >= clamp {
                     continue;
                 }
                 // The cheap bound says "maybe strong"; use the full
                 // precision before letting it lower any slot.
                 let lid = LabelId(idx as u32);
-                *lb = to_lb(objective, row.full(lid));
+                let lb = to_lb(objective, row.full(lid));
+                *cell = lb;
                 refined_count += 1;
-                if *lb >= clamp {
+                if lb >= clamp {
                     continue;
                 }
                 for &sid in store.schemas_with_label(lid) {
@@ -245,13 +258,12 @@ impl<'a> LaneSweep<'a> {
                         n_touched += 1;
                         lanelb.resize(lanelb.len() + n_lanes, clamp);
                     }
-                    let cell = &mut lanelb[*s as usize * n_lanes + d];
-                    if *lb < *cell {
-                        *cell = *lb;
+                    let lane = &mut lanelb[*s as usize * n_lanes + d];
+                    if lb < *lane {
+                        *lane = lb;
                     }
                 }
             }
-            bounds.push(lane);
         }
 
         let clamped_total = lane_mult.iter().map(|m| clamp * m).sum();
@@ -270,6 +282,9 @@ impl<'a> LaneSweep<'a> {
             refined_count,
             memo_hits,
             promoted: vec![false; store.len()],
+            lane_min: vec![0.0; n_lanes],
+            lane_room: vec![0.0; n_lanes],
+            lane_fits: vec![0; n_lanes],
         }
     }
 
@@ -299,8 +314,8 @@ impl<'a> LaneSweep<'a> {
     /// host an injective assignment whose coarse total fits the budget.
     /// Only touched schemas qualify unless an all-clamped schema would
     /// fit too (a loose clamp). Every other schema is certified empty.
-    /// Ascending order keeps phase 2's reads of the store's column maps
-    /// monotone; no result depends on the order.
+    /// Ascending order walks the store's column arena front to back; no
+    /// result depends on the order.
     fn coarse_survivors(&self, problem: &MatchProblem) -> Vec<SchemaId> {
         let repo = problem.repository();
         let store = repo.store();
@@ -315,76 +330,75 @@ impl<'a> LaneSweep<'a> {
             .collect()
     }
 
-    /// Promote every (lane, label) entry of one schema's vocabulary to
-    /// full precision, so rankings and caps built from the lanes are as
-    /// tight as the filter index allows. Label-major: each distinct
-    /// label is promoted once per request, in every lane at a time, so
-    /// the survivors' shared vocabulary is never revisited per schema.
-    fn promote_schema(&mut self, labels: &[LabelId]) {
+    /// Promote label `lid`'s entries to full precision in every lane,
+    /// once per request, so rankings and caps built from the lanes are
+    /// as tight as the filter index allows. Label-major: the survivors'
+    /// shared vocabulary is never revisited per schema.
+    fn promote(&mut self, lid: LabelId) {
+        if std::mem::replace(&mut self.promoted[lid.index()], true) {
+            return;
+        }
+        let lanes = &mut self.bounds[lid.index() * self.n_lanes..][..self.n_lanes];
+        for (row, lb) in self.rows.iter().zip(lanes) {
+            // Entries whose cheap bound fell below the clamp were
+            // promoted by the walk already.
+            if to_lb(self.objective, row.cheap()[lid.index()]) >= self.clamp {
+                *lb = to_lb(self.objective, row.full(lid));
+                self.refined_count += 1;
+            }
+        }
+    }
+
+    /// Per-lane minima over a schema's `labels` (kept in `lane_min`),
+    /// from the bounds as refined so far — after promoting each label
+    /// first when `promote` is set — in one pass over the schema's label
+    /// column. Returns the schema's mapping-cost lower bound: each
+    /// level's lane minimum, summed in level order.
+    fn fill_minima(&mut self, labels: &[LabelId], promote: bool) -> f64 {
+        self.lane_min.fill(f64::INFINITY);
         for &lid in labels {
-            if std::mem::replace(&mut self.promoted[lid.index()], true) {
-                continue;
+            if promote {
+                self.promote(lid);
             }
-            for (row, lane) in self.rows.iter().zip(&mut self.bounds) {
-                // Entries whose cheap bound fell below the clamp were
-                // promoted by the walk already.
-                if to_lb(self.objective, row.cheap()[lid.index()]) >= self.clamp {
-                    lane[lid.index()] = to_lb(self.objective, row.full(lid));
-                    self.refined_count += 1;
-                }
+            let lanes = &self.bounds[lid.index() * self.n_lanes..][..self.n_lanes];
+            for (min, &lb) in self.lane_min.iter_mut().zip(lanes) {
+                *min = min.min(lb);
             }
         }
+        self.level_lane.iter().map(|&d| self.lane_min[d]).sum()
     }
 
-    /// Per-level minima over schema `sid`'s labels, from the lanes as
-    /// refined so far; returns the schema's mapping-cost lower bound.
-    ///
-    /// A phase-1 slot below the clamp already *is* its lane's minimum:
-    /// the label attaining a minimum below the clamp has a cheap bound
-    /// below it too (cheap cost bounds never exceed full ones), so the
-    /// walk lowered the slot to exactly that value. Only lanes still at
-    /// the clamp are scanned.
-    fn fill_minima(&self, sid: SchemaId, labels: &[LabelId], exact: &mut [f64]) -> f64 {
-        let coarse = self.lanes(sid);
-        for (level, slot) in exact.iter_mut().enumerate() {
-            let d = self.level_lane[level];
-            *slot = match coarse {
-                Some(lanes) if lanes[d] < self.clamp => lanes[d],
-                _ => {
-                    let lane = &self.bounds[d];
-                    labels
-                        .iter()
-                        .map(|lid| lane[lid.index()])
-                        .fold(f64::INFINITY, f64::min)
-                }
-            };
+    /// Whether [`LaneSweep::cap`] is non-zero for the schema
+    /// [`LaneSweep::fill_minima`] last filled: every level has a node
+    /// fitting the budget the other levels' minima leave it — exactly
+    /// when the level's own minimum fits, which takes `O(lanes)`
+    /// instead of a pass over the schema's labels.
+    fn every_level_fits(&self, total_lb: f64) -> bool {
+        self.lane_min
+            .iter()
+            .all(|&lb| lb <= self.budget - (total_lb - lb))
+    }
+
+    /// Admissible answer cap of the schema [`LaneSweep::fill_minima`]
+    /// last filled: a mapping at each level must use a node whose cost
+    /// lower bound fits the budget left after every other level
+    /// contributes at least its minimum. Levels sharing a lane share its
+    /// minimum, hence that room and its fit count, so one pass over the
+    /// labels counts every lane's fits.
+    fn cap(&mut self, labels: &[LabelId], total_lb: f64) -> f64 {
+        for (room, &lb) in self.lane_room.iter_mut().zip(&self.lane_min) {
+            *room = self.budget - (total_lb - lb);
         }
-        exact.iter().sum()
-    }
-
-    /// Whether [`LaneSweep::cap`] is non-zero: every level has a node
-    /// fitting the budget left by the other levels' minima — exactly
-    /// when the level's own minimum fits, which takes `O(k)` instead of
-    /// a pass over the schema's labels.
-    fn every_level_fits(&self, exact: &[f64], total_lb: f64) -> bool {
-        exact.iter().all(|&lb| lb <= self.budget - (total_lb - lb))
-    }
-
-    /// Admissible answer cap: a mapping at level `level` must use a
-    /// node whose cost lower bound fits the budget left after every
-    /// other level contributes at least its minimum.
-    fn cap(&self, labels: &[LabelId], exact: &[f64], total_lb: f64) -> f64 {
-        let mut cap = 1.0f64;
-        for (level, lb) in exact.iter().enumerate() {
-            let lane = &self.bounds[self.level_lane[level]];
-            let room = self.budget - (total_lb - lb);
-            let fits = labels
-                .iter()
-                .filter(|lid| lane[lid.index()] <= room)
-                .count();
-            cap *= fits as f64;
+        self.lane_fits.fill(0);
+        for &lid in labels {
+            let lanes = &self.bounds[lid.index() * self.n_lanes..][..self.n_lanes];
+            for ((fits, &lb), &room) in self.lane_fits.iter_mut().zip(lanes).zip(&self.lane_room) {
+                *fits += u32::from(lb <= room);
+            }
         }
-        cap
+        self.level_lane
+            .iter()
+            .fold(1.0f64, |cap, &d| cap * self.lane_fits[d] as f64)
     }
 }
 
@@ -418,7 +432,6 @@ impl CandidateGenerator {
         let mut outer = smx_obs::span("candidates.generate");
         let repo = problem.repository();
         let store = repo.store();
-        let k = problem.personal_size();
         let mut sweep = {
             let mut phase1 = smx_obs::span("candidates.phase1");
             let sweep = LaneSweep::run(&self.objective, problem, delta_max);
@@ -440,19 +453,15 @@ impl CandidateGenerator {
         // full precision first.
         let survivors = sweep.coarse_survivors(problem);
         let mut verdicts: Vec<Verdict> = Vec::with_capacity(survivors.len());
-        let mut exact = vec![0.0f64; k];
         for sid in survivors {
             let labels = store.schema_labels(sid);
-            if self.config.budget.is_some() {
-                sweep.promote_schema(labels);
-            }
-            let total_lb = sweep.fill_minima(sid, labels, &mut exact);
-            if total_lb > budget || !sweep.every_level_fits(&exact, total_lb) {
+            let total_lb = sweep.fill_minima(labels, self.config.budget.is_some());
+            if total_lb > budget || !sweep.every_level_fits(total_lb) {
                 continue;
             }
             // Auto mode keeps every verdict, so it never needs a cap.
             let cap = match self.config.budget {
-                Some(_) => sweep.cap(labels, &exact, total_lb),
+                Some(_) => sweep.cap(labels, total_lb),
                 None => 0.0,
             };
             verdicts.push(Verdict { sid, total_lb, cap });
@@ -500,6 +509,9 @@ impl CandidateGenerator {
             outer.attr("caps_sum", caps_sum);
             outer.attr("pruned_pairs", pruned_pairs);
             outer.attr("scored_pairs", scored_pairs);
+            smx_obs::registry()
+                .histogram("candidates.generate_ns")
+                .observe_ns(outer.elapsed_ns());
         }
 
         CandidateSet {
@@ -593,15 +605,13 @@ impl BoundsTable {
                 cap: 0.0,
             })
             .collect();
-        let mut exact = vec![0.0f64; k];
         for sid in survivors {
             let labels = store.schema_labels(sid);
-            sweep.promote_schema(labels);
-            let total_lb = sweep.fill_minima(sid, labels, &mut exact);
+            let total_lb = sweep.fill_minima(labels, true);
             let cap = if total_lb > budget {
                 0.0
             } else {
-                sweep.cap(labels, &exact, total_lb)
+                sweep.cap(labels, total_lb)
             };
             entries[sid.index()] = BoundsEntry {
                 cert_empty: cap == 0.0,

@@ -199,6 +199,9 @@ impl<M: Matcher> CertifiedMatcher<M> {
             if refine.is_active() {
                 refine.attr("matcher", self.inner.name());
                 refine.attr("answers", answers.len());
+                smx_obs::registry()
+                    .histogram("certified.refine_ns")
+                    .observe_ns(refine.elapsed_ns());
             }
             answers
         };

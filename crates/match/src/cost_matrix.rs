@@ -381,6 +381,9 @@ impl CostMatrix {
             span.attr("restricted", problem.active_set().is_some());
             span.attr("schemas_filled", tables.len());
             span.attr("fill_windows", fill_windows);
+            smx_obs::registry()
+                .histogram("cost_matrix.build_ns")
+                .observe_ns(span.elapsed_ns());
         }
         let denom =
             k as f64 + problem.personal_edges() as f64 * objective.config().structure_weight;
@@ -420,7 +423,9 @@ impl CostMatrix {
         }
     }
 
-    /// Δ of a full assignment, read from the matrix. Term order replicates
+    /// Δ of a full assignment, read from the matrix, with edges priced
+    /// from the repository's node shapes
+    /// ([`ObjectiveFunction::shape_edge_penalty`]). Term order replicates
     /// [`ObjectiveFunction::mapping_cost`] exactly, so the result is
     /// bitwise identical to direct evaluation.
     pub fn mapping_cost(
@@ -430,7 +435,7 @@ impl CostMatrix {
         targets: &[NodeId],
     ) -> f64 {
         let personal = problem.personal();
-        let schema = problem.repository().schema(schema_id);
+        let shapes = problem.repository().store().schema_shapes(schema_id);
         let table = self.table(schema_id);
         debug_assert_eq!(targets.len(), problem.personal_size());
         let structure_weight = self.objective.config().structure_weight;
@@ -440,9 +445,10 @@ impl CostMatrix {
             if let Some(parent) = personal.node(pid).parent {
                 let parent_target = targets[parent.index()];
                 total += structure_weight
-                    * self
-                        .objective
-                        .edge_penalty(schema, parent_target, targets[i]);
+                    * self.objective.shape_edge_penalty(
+                        shapes[parent_target.index()],
+                        shapes[targets[i].index()],
+                    );
             }
         }
         total / self.denom

@@ -9,10 +9,14 @@
 //! "exhaustive for threshold δ" means in the paper (§2.1).
 //!
 //! Node costs and bounds come from the problem's precomputed
-//! [`CostMatrix`] (see [`crate::cost_matrix`]); the
-//! [`ExhaustiveMatcher::direct`] constructor keeps the old
-//! recompute-per-run evaluation as a benchmark baseline and score-identity
-//! reference.
+//! [`CostMatrix`] (see [`crate::cost_matrix`]), and edges are priced
+//! from the repository's column arena: each candidate's structural
+//! penalty is an O(1) interval test on the targets' node shapes
+//! ([`ObjectiveFunction::shape_edge_penalty`]), which must match the
+//! parent-walking oracle [`ObjectiveFunction::edge_penalty`] bit for
+//! bit. The [`ExhaustiveMatcher::direct`] constructor keeps the old
+//! recompute-per-run evaluation — raw strings and `edge_penalty` — as a
+//! benchmark baseline and score-identity reference.
 
 use crate::cost_matrix::{CostMatrix, SchemaTable};
 use crate::mapping::{Mapping, MappingRegistry};
@@ -20,7 +24,7 @@ use crate::matcher::Matcher;
 use crate::objective::ObjectiveFunction;
 use crate::problem::MatchProblem;
 use smx_eval::{AnswerId, AnswerSet};
-use smx_repo::SchemaId;
+use smx_repo::{NodeShape, SchemaId};
 use smx_xml::NodeId;
 
 /// How a matcher obtains node costs and final mapping scores.
@@ -103,6 +107,9 @@ impl ExhaustiveMatcher {
             objective: &'a ObjectiveFunction,
             matrix: Option<&'a CostMatrix>,
             schema: &'a smx_xml::Schema,
+            /// The schema's node shapes in matrix mode; `None` prices
+            /// edges through the oracle walk (direct mode).
+            shapes: Option<&'a [NodeShape]>,
             sid: SchemaId,
             table: &'a SchemaTable,
             budget: f64,
@@ -144,19 +151,22 @@ impl ExhaustiveMatcher {
             let parent = ctx.problem.personal().node(pid).parent;
             let suffix = ctx.table.suffix_min()[level + 1];
             let row = ctx.table.row(level);
+            let parent_target = parent.map(|p| targets[p.index()]);
             for (cand, &node_cost) in row.iter().enumerate() {
                 if used[cand] {
                     continue;
                 }
                 let mut step = node_cost;
-                if let Some(p) = parent {
-                    let parent_target = NodeId(targets[p.index()] as u32);
-                    step += ctx.structure_weight
-                        * ctx.objective.edge_penalty(
+                if let Some(pt) = parent_target {
+                    let penalty = match ctx.shapes {
+                        Some(shapes) => ctx.objective.shape_edge_penalty(shapes[pt], shapes[cand]),
+                        None => ctx.objective.edge_penalty(
                             ctx.schema,
-                            parent_target,
+                            NodeId(pt as u32),
                             NodeId(cand as u32),
-                        );
+                        ),
+                    };
+                    step += ctx.structure_weight * penalty;
                 }
                 let lower_bound = partial + step + suffix;
                 if lower_bound > ctx.budget {
@@ -175,6 +185,7 @@ impl ExhaustiveMatcher {
             objective: &self.objective,
             matrix,
             schema,
+            shapes: matrix.map(|_| problem.repository().store().schema_shapes(sid)),
             sid,
             table,
             budget,

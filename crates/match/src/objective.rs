@@ -10,10 +10,18 @@
 //! matcher in this crate therefore calls [`ObjectiveFunction::mapping_cost`],
 //! which evaluates terms in a fixed order so scores are bitwise identical
 //! across matchers.
+//!
+//! [`ObjectiveFunction::edge_penalty`] is the oracle for the structural
+//! term: it walks the [`Schema`]'s parent pointers. The matrix-backed
+//! searches price the same edges from the repository's column arena
+//! instead ([`ObjectiveFunction::shape_edge_penalty`], an O(1) interval
+//! test on [`NodeShape`]s), and must match `edge_penalty` bit for bit:
+//! both feed the same ancestor verdict and depth gap into one penalty
+//! formula.
 
 use crate::problem::MatchProblem;
 use serde::{Deserialize, Serialize};
-use smx_repo::SchemaId;
+use smx_repo::{NodeShape, SchemaId};
 use smx_text::NameSimilarity;
 use smx_xml::{NodeId, Schema};
 
@@ -97,13 +105,25 @@ impl ObjectiveFunction {
     /// targets are `(tp, tc)`: 0 when `tp` is a proper ancestor of `tc`
     /// with a small surcharge per skipped level, a flat high penalty
     /// otherwise (the mapping scrambles the hierarchy).
+    ///
+    /// The oracle: ancestry and depths come from parent-pointer walks.
+    /// [`shape_edge_penalty`](Self::shape_edge_penalty) is the fast path
+    /// every matrix-mode search uses, bitwise equal to this one.
     pub fn edge_penalty(&self, schema: &Schema, tp: NodeId, tc: NodeId) -> f64 {
-        if schema.is_ancestor(tp, tc) {
-            let gap = schema.depth(tc) - schema.depth(tp);
-            (0.15 * (gap as f64 - 1.0)).min(0.45)
-        } else {
-            0.8
-        }
+        penalty(
+            schema
+                .is_ancestor(tp, tc)
+                .then(|| schema.depth(tc) - schema.depth(tp)),
+        )
+    }
+
+    /// [`edge_penalty`](Self::edge_penalty) priced from the targets'
+    /// [`NodeShape`]s (`LabelStore::schema_shapes`): an interval test
+    /// instead of parent walks, bitwise equal to the oracle because the
+    /// shapes' ancestor test and depth gap equal the schema's.
+    #[inline]
+    pub fn shape_edge_penalty(&self, tp: NodeShape, tc: NodeShape) -> f64 {
+        penalty(tp.ancestor_gap(tc))
     }
 
     /// Δ of a full assignment: `targets[i]` is the image of the `i`-th
@@ -139,6 +159,17 @@ impl ObjectiveFunction {
             .node_ids()
             .map(|t| self.node_cost(personal, personal_node, schema, t))
             .fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// The one structural penalty formula, shared by both edge pricers:
+/// `gap` is how many levels the parent's target sits above the child's
+/// when it is a proper ancestor, `None` when it is not.
+#[inline]
+fn penalty(gap: Option<usize>) -> f64 {
+    match gap {
+        Some(gap) => (0.15 * (gap as f64 - 1.0)).min(0.45),
+        None => 0.8,
     }
 }
 
@@ -202,6 +233,35 @@ mod tests {
         assert!(skip > 0.0 && skip < 0.5);
         // Non-ancestor: flat high penalty.
         assert_eq!(obj.edge_penalty(schema, NodeId(2), NodeId(3)), 0.8);
+    }
+
+    #[test]
+    fn shape_penalty_matches_the_oracle_bitwise() {
+        // Every ordered node pair of every schema of a generated
+        // scenario: the arena's interval test prices the edge exactly
+        // like the parent-walking oracle.
+        let sc = smx_synth::Scenario::generate(smx_synth::ScenarioConfig {
+            derived_schemas: 4,
+            noise_schemas: 4,
+            personal_nodes: 4,
+            host_nodes: 9,
+            ..Default::default()
+        });
+        let obj = ObjectiveFunction::default();
+        let store = sc.repository.store();
+        for (sid, schema) in sc.repository.iter() {
+            let shapes = store.schema_shapes(sid);
+            for tp in schema.node_ids() {
+                for tc in schema.node_ids() {
+                    assert_eq!(
+                        obj.shape_edge_penalty(shapes[tp.index()], shapes[tc.index()])
+                            .to_bits(),
+                        obj.edge_penalty(schema, tp, tc).to_bits(),
+                        "{sid}: {tp} over {tc}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

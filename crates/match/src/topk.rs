@@ -97,7 +97,7 @@ impl Matcher for TopKMatcher {
                 m: &TopKMatcher,
                 problem: &MatchProblem,
                 sid: smx_repo::SchemaId,
-                schema: &smx_xml::Schema,
+                shapes: &[smx_repo::NodeShape],
                 matrix: &crate::cost_matrix::CostMatrix,
                 table: &crate::cost_matrix::SchemaTable,
                 delta_max: f64,
@@ -142,10 +142,9 @@ impl Matcher for TopKMatcher {
                     }
                     let mut step = node_cost;
                     if let Some(p) = parent {
-                        let parent_target = NodeId(chosen[p.index()] as u32);
                         step += m.objective.config().structure_weight
                             * m.objective
-                                .edge_penalty(schema, parent_target, NodeId(cand as u32));
+                                .shape_edge_penalty(shapes[chosen[p.index()]], shapes[cand]);
                     }
                     if partial + step + suffix > budget {
                         continue;
@@ -155,7 +154,7 @@ impl Matcher for TopKMatcher {
                         m,
                         problem,
                         sid,
-                        schema,
+                        shapes,
                         matrix,
                         table,
                         delta_max,
@@ -171,7 +170,7 @@ impl Matcher for TopKMatcher {
                 self,
                 problem,
                 sid,
-                schema,
+                problem.repository().store().schema_shapes(sid),
                 &matrix,
                 table,
                 delta_max,

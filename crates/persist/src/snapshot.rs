@@ -382,10 +382,8 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
         tombstones,
     };
     validate(&schemas, &state)?;
-    Ok(Repository::from_parts(
-        schemas,
-        LabelStore::import_state(state),
-    ))
+    let store = LabelStore::import_state(state, &schemas);
+    Ok(Repository::from_parts(schemas, store))
 }
 
 /// The salvage load: keep what verifies, rebuild or drop what doesn't.
@@ -544,7 +542,8 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
     // validation must therefore hold. Debug-assert it rather than
     // re-running the full pass in release loads.
     debug_assert!(validate(&schemas, &state).is_ok());
-    let repo = Repository::from_parts(schemas, LabelStore::import_state(state));
+    let store = LabelStore::import_state(state, &schemas);
+    let repo = Repository::from_parts(schemas, store);
     // Stamp the degradation on the store, so callers that only ever see
     // the repository (not this report) still observe it via `health()`.
     repo.store().record_salvage_events(events.len() as u64);
@@ -710,6 +709,9 @@ fn decode_schemas(bytes: &[u8]) -> Result<Vec<Schema>, PersistError> {
         let name = r.get_str()?;
         let nodes = r.get_u32()? as usize;
         let mut schema = Schema::new(name);
+        // One allocation per schema, capped like the schema list: counts
+        // are only trusted once the nodes actually decode.
+        schema.reserve(nodes.min(1 << 16));
         for i in 0..nodes {
             let mut node = Node::element(r.get_str()?);
             node.kind = match r.get_u8()? {

@@ -1,10 +1,14 @@
 //! Persistence failure paths: every way a snapshot can be damaged maps
 //! to a typed [`PersistError`] — never a panic, never a half-built
 //! repository — and undamaged snapshots of arbitrary synthetic
-//! repositories round-trip bitwise (proptest).
+//! repositories round-trip bitwise (proptest), column arena included:
+//! node shapes are never persisted, so every load — a salvage load that
+//! rebuilds the LABELS section too — must rebuild them equal.
 
 use proptest::prelude::*;
-use smx_persist::{section, PersistError, Snapshot, FORMAT_VERSION, MAGIC};
+use smx_persist::{
+    section, PersistError, RecoveryPolicy, SalvageEvent, Snapshot, FORMAT_VERSION, MAGIC,
+};
 use smx_repo::{LabelId, Repository, StoreConfig};
 use smx_synth::{Scenario, ScenarioConfig};
 
@@ -245,8 +249,10 @@ fn fnv1a_local(bytes: &[u8]) -> u64 {
 proptest! {
     /// Round-trip on arbitrary synthetic repositories with arbitrary
     /// warm vocabularies and cache bounds: load(save(repo)) preserves
-    /// schemas, labels, column maps, token index, config, and every
-    /// cached row bitwise.
+    /// schemas, labels, column maps and node shapes, token index,
+    /// config, and every cached row bitwise — and a salvage load whose
+    /// LABELS section is damaged rebuilds the same columns and shapes
+    /// from the schema list.
     #[test]
     fn random_repositories_round_trip_bitwise(
         derived in 1..4usize,
@@ -292,7 +298,9 @@ proptest! {
         }
         for sid in repo.schema_ids() {
             prop_assert_eq!(a.schema_labels(sid), b.schema_labels(sid));
+            prop_assert_eq!(a.schema_shapes(sid), b.schema_shapes(sid));
         }
+        prop_assert_eq!(b.columns().len(), loaded.total_elements());
         prop_assert_eq!(
             a.token_index().postings().collect::<Vec<_>>(),
             b.token_index().postings().collect::<Vec<_>>()
@@ -311,5 +319,26 @@ proptest! {
             }
         }
         prop_assert_eq!(b.pair_evals(), 0);
+
+        // Flip one byte of the LABELS payload: the salvage load must
+        // rebuild the labels from the schema list, and the shapes with
+        // them.
+        let mut damaged = repo.save_snapshot();
+        let entry = MAGIC.len() + 8 + 28; // second entry: LABELS
+        let offset = u64::from_le_bytes(damaged[entry + 4..entry + 12].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(damaged[entry + 12..entry + 20].try_into().unwrap()) as usize;
+        damaged[offset + len / 2] ^= 0x5A;
+        let (salvaged, report) =
+            Repository::load_snapshot_report(&damaged, RecoveryPolicy::Salvage).expect("salvage");
+        prop_assert!(report
+            .events
+            .iter()
+            .any(|e| matches!(e, SalvageEvent::LabelsRebuilt(_))));
+        let c = salvaged.store();
+        for sid in repo.schema_ids() {
+            prop_assert_eq!(a.schema_labels(sid), c.schema_labels(sid));
+            prop_assert_eq!(a.schema_shapes(sid), c.schema_shapes(sid));
+        }
+        prop_assert_eq!(c.columns().len(), salvaged.total_elements());
     }
 }

@@ -2,7 +2,9 @@
 //! never change any matcher's answers, bitwise — clean runs, runs under
 //! deterministic fault storms on the spill seam, and runs that stream
 //! spans through the JSON-lines sink all have to agree with an untraced
-//! oracle. Instrumentation observes; it does not participate.
+//! oracle. Instrumentation observes; it does not participate. A traced
+//! certified run also lands one observation in each request layer's
+//! latency histogram.
 //!
 //! Tracing state (`smx_obs::set_enabled` / `set_recorder`) is
 //! process-global, so every test in this binary serializes on
@@ -10,7 +12,10 @@
 
 use smx_eval::AnswerSet;
 use smx_match::test_support::{all_matchers, canonical_answers, run_matcher};
-use smx_match::{MappingRegistry, Matcher};
+use smx_match::{
+    CandidateGenerator, CertifiedMatcher, ExhaustiveMatcher, MappingRegistry, MatchProblem,
+    Matcher, ObjectiveFunction,
+};
 use smx_persist::{Fault, FaultIo, FaultPlan, RealIo, RetryPolicy, SpillFile};
 use smx_repo::{Repository, StoreConfig};
 use smx_synth::{Scenario, ScenarioConfig};
@@ -208,4 +213,42 @@ fn json_sink_streams_valid_lines_without_perturbing_answers() {
         );
     }
     std::fs::remove_file(&trace_path).ok();
+}
+
+/// Every layer of a certified request has its own latency histogram:
+/// after one traced `run_certified`, candidate generation, the restricted
+/// matrix fill and the refine stage each hold at least one more
+/// observation than before it (the registry is process-global, so the
+/// test compares counts across the run).
+#[test]
+fn traced_certified_run_records_every_layer_histogram() {
+    let _guard = guard();
+    const LAYERS: [&str; 3] = [
+        "candidates.generate_ns",
+        "cost_matrix.build_ns",
+        "certified.refine_ns",
+    ];
+    let count = |name: &str| {
+        smx_obs::registry()
+            .snapshot()
+            .histograms
+            .get(name)
+            .map_or(0, |h| h.count)
+    };
+    let sc = scenario(9104);
+    let problem = MatchProblem::new(sc.personal.clone(), sc.repository.clone()).unwrap();
+    let matcher = CertifiedMatcher::new(
+        ExhaustiveMatcher::default(),
+        CandidateGenerator::auto(ObjectiveFunction::default()),
+    );
+    let before = LAYERS.map(count);
+    let _collector = smx_obs::install_collector();
+    matcher.run_certified(&problem, DELTA_MAX, &MappingRegistry::new());
+    reset_tracing();
+    for (name, before) in LAYERS.iter().zip(before) {
+        assert!(
+            count(name) > before,
+            "traced certified run recorded no {name} observation"
+        );
+    }
 }

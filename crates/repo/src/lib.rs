@@ -12,6 +12,9 @@
 //! * [`intern`] — dense [`LabelId`]s for distinct element names, so
 //!   scoring engines compare and memoise names by `u32` instead of by
 //!   string,
+//! * [`columns`] — the flat column arena: every schema's per-node label
+//!   ids and tree shapes ([`NodeShape`]: O(1) ancestor tests) in two
+//!   contiguous arrays,
 //! * [`feature`] — token-based feature vectors for repository elements
 //!   (name, path context, type),
 //! * [`cluster`] — greedy leader clustering (the fast method a scalable
@@ -36,6 +39,7 @@
 
 pub mod bound_rows;
 pub mod cluster;
+pub mod columns;
 pub mod feature;
 pub mod filter_index;
 pub mod fragment;
@@ -46,6 +50,7 @@ pub mod store;
 
 pub use bound_rows::BoundRow;
 pub use cluster::{agglomerative_clustering, greedy_clustering, Cluster, Clustering};
+pub use columns::{ColumnArena, NodeShape};
 pub use feature::{element_features, feature_similarity, query_features, ElementFeatures};
 pub use filter_index::{FilterIndex, FilterProfile, FilterProfileData, QueryFilter, BOUND_EPS};
 pub use fragment::{fragments_for_clusters, Fragment};

@@ -65,7 +65,7 @@ pub struct Repository {
     /// (nothing serialises at runtime). When the real crates are swapped
     /// in (ROADMAP open item), this field must be `#[serde(skip)]` *and*
     /// rebuilt from `schemas` on deserialize — a skipped-but-empty store
-    /// would desync from the schema list and break `schema_labels`
+    /// would desync from the schema list and break column-arena
     /// indexing.
     store: Arc<LabelStore>,
     /// Total elements across `schemas`, maintained by every mutation so
@@ -103,19 +103,32 @@ impl Repository {
     /// (which would rebuild profiles, postings, and score rows from
     /// scratch).
     ///
-    /// The store must describe exactly these schemas (one column map per
-    /// schema, labels resolving to the schemas' node names); the
-    /// snapshot decoder validates that before calling this.
+    /// The store must describe exactly these schemas (imported with
+    /// [`LabelStore::import_state`] from an image of them: one column
+    /// slot per schema, labels resolving to the schemas' node names,
+    /// shapes built from them); the snapshot decoder validates that
+    /// before importing.
+    ///
+    /// # Panics
+    ///
+    /// If the store's slot count differs from the schema count, or any
+    /// slot's column length from its schema's node count — a mismatched
+    /// pair would mis-index every cost-matrix fill and edge price.
     pub fn from_parts(schemas: Vec<Schema>, store: LabelStore) -> Self {
-        debug_assert!(
-            schemas
-                .iter()
-                .enumerate()
-                .all(|(i, s)| { store.schema_labels(SchemaId(i as u32)).len() == s.len() }),
-            "store column maps must match the schema list"
+        let columns = store.columns();
+        assert!(
+            columns.slots() == schemas.len()
+                && schemas
+                    .iter()
+                    .enumerate()
+                    .all(|(i, s)| columns.labels(SchemaId(i as u32)).len() == s.len()),
+            "store columns must match the schema list: {} slots for {} schemas, \
+             and every slot as long as its schema",
+            columns.slots(),
+            schemas.len()
         );
         Repository {
-            elements: schemas.iter().map(Schema::len).sum(),
+            elements: columns.len(),
             schemas: Arc::new(schemas),
             store: Arc::new(store),
         }
@@ -137,7 +150,7 @@ impl Repository {
     /// range or already removed.
     ///
     /// Maintenance is **incremental and targeted**: the removed
-    /// schema's token postings and store column map are stripped, its
+    /// schema's token postings and store column slot are stripped, its
     /// slot is replaced by an empty placeholder schema (every matcher
     /// skips empty schemas), and its generation stamp is bumped.
     /// Label-level derived state — interned labels, row-kernel
@@ -161,7 +174,7 @@ impl Repository {
     }
 
     /// Replace the schema at `sid` with a new version, in place —
-    /// remove-then-reingest under the same id, bumping the slot's
+    /// unlink-then-reingest under the same id, bumping the slot's
     /// generation twice (once per step; a replace of a live slot is
     /// observable as `generation += 2`). The slot may currently be a
     /// tombstone (replace doubles as re-add). Returns `false` only if
@@ -170,22 +183,17 @@ impl Repository {
     /// Like [`add`](Self::add), ingest is incremental: new distinct
     /// labels are profiled and token postings spliced in at their
     /// sorted positions — nothing is rebuilt, no cached score row is
-    /// invalidated.
+    /// invalidated, and a schema with the old one's node count
+    /// overwrites its column slot in place.
     pub fn replace_schema(&mut self, sid: SchemaId, schema: Schema) -> bool {
         if sid.index() >= self.schemas.len() {
             return false;
         }
-        if !self.store.is_removed(sid) {
-            let old = {
-                let schemas = Arc::make_mut(&mut self.schemas);
-                std::mem::replace(&mut schemas[sid.index()], Schema::new(""))
-            };
-            Arc::make_mut(&mut self.store).remove_schema(sid, &old);
-            self.elements -= old.len();
-        }
-        Arc::make_mut(&mut self.store).reingest_schema(sid, &schema);
-        self.elements += schema.len();
-        Arc::make_mut(&mut self.schemas)[sid.index()] = schema;
+        let old = std::mem::replace(&mut Arc::make_mut(&mut self.schemas)[sid.index()], schema);
+        let store = Arc::make_mut(&mut self.store);
+        let live = !store.is_removed(sid);
+        store.replace_schema(sid, live.then_some(&old), &self.schemas[sid.index()]);
+        self.elements = self.elements - old.len() + self.schemas[sid.index()].len();
         true
     }
 
@@ -316,6 +324,24 @@ mod tests {
         let names: Vec<&str> = elements.iter().map(|&e| r.element_name(e)).collect();
         assert_eq!(names, vec!["bib", "book", "title", "shop", "order"]);
         assert_eq!(elements[2].to_string(), "s0:n2");
+    }
+
+    #[test]
+    #[should_panic(expected = "store columns must match the schema list")]
+    fn from_parts_rejects_a_slot_count_mismatch() {
+        let r = repo();
+        let one: Vec<Schema> = r.iter().take(1).map(|(_, s)| s.clone()).collect();
+        Repository::from_parts(one, r.store().clone());
+    }
+
+    #[test]
+    #[should_panic(expected = "store columns must match the schema list")]
+    fn from_parts_rejects_a_column_length_mismatch() {
+        let r = repo();
+        // Same slot count, schemas swapped: 2 nodes where the store's
+        // first slot holds 3.
+        let swapped = vec![r.schema(SchemaId(1)).clone(), r.schema(SchemaId(0)).clone()];
+        Repository::from_parts(swapped, r.store().clone());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   pair-independent preprocessing (normalised form, token profiles,
 //!   Myers pattern table, flat trigram profile), built exactly once, at
 //!   ingest,
-//! * per-schema label ids in arena order (the cost-matrix column map),
+//! * the flat [`ColumnArena`]: every schema's per-node label ids (the
+//!   cost-matrix column map) and tree shapes in two contiguous arrays,
 //! * the incremental [`TokenIndex`],
 //! * a **score-row cache**: for each query label already seen, the dense
 //!   vector of name *distances* to every stored label, computed by one
@@ -52,7 +53,7 @@
 //! label-level state (interner, profiles, prefix fingerprints) is
 //! append-only even across removals, so every cached row stays a valid
 //! prefix of per-label distances. Schema membership is consulted at
-//! matrix-build time through the immediately-updated column maps and
+//! matrix-build time through the immediately-updated column arena and
 //! postings — a stale row cannot leak a removed schema into an answer.
 //! The cost is **orphaned labels** ([`LabelStore::orphaned_labels`]):
 //! labels no live schema references keep their profile and row columns
@@ -127,7 +128,7 @@
 //! are byte-for-byte the rows that were evicted, so they are bitwise
 //! identical to recompute. [`LabelStore::export_state`] /
 //! [`LabelStore::import_state`] snapshot and restore the whole hot state
-//! (labels, per-schema column maps, token index, cached rows in LRU
+//! (labels, per-schema label columns, token index, cached rows in LRU
 //! order) for warm restarts.
 //!
 //! # Score-identity contract
@@ -148,6 +149,7 @@
 //! contract, differential-tested in `smx_text`.
 
 use crate::bound_rows::{BoundMemo, BoundRow};
+use crate::columns::{ColumnArena, NodeShape};
 use crate::filter_index::{FilterIndex, FilterProfileData, QueryFilter};
 use crate::index::TokenIndex;
 use crate::intern::{LabelId, LabelInterner};
@@ -697,9 +699,10 @@ pub struct LabelStore {
     /// against a diverged clone's label list. Always `profiles.len()+1`
     /// entries; `prefix_hashes[0]` is the hash offset basis.
     prefix_hashes: Vec<u64>,
-    /// Per schema (by id), the label of each node in arena order.
-    schema_labels: Vec<Vec<LabelId>>,
-    /// Inverse of `schema_labels`: per label (by id), the schemas that
+    /// Per schema slot, the label and shape of each node in arena
+    /// order, flat (see [`ColumnArena`]).
+    columns: ColumnArena,
+    /// Inverse of the label columns: per label (by id), the schemas that
     /// contain it, ascending and deduplicated — the label→schema
     /// postings candidate generation walks instead of scanning every
     /// (schema, label) pair. Derived state, maintained at ingest and
@@ -713,7 +716,7 @@ pub struct LabelStore {
     /// Per schema slot: `true` once the schema was removed
     /// ([`Repository::remove_schema`](crate::Repository::remove_schema)).
     /// Tombstoned slots keep their id (every `SchemaId` stays valid) but
-    /// hold an empty schema and an empty column map.
+    /// hold an empty schema and an empty column slot.
     removed: Vec<bool>,
     /// Per schema slot: bumped on every remove/replace. Consumers that
     /// cache per-schema derived state can compare generations instead of
@@ -783,7 +786,7 @@ impl LabelStore {
             interner: LabelInterner::new(),
             profiles: Vec::new(),
             prefix_hashes: vec![FNV_OFFSET],
-            schema_labels: Vec::new(),
+            columns: ColumnArena::new(),
             label_schemas: Vec::new(),
             index: TokenIndex::default(),
             filters: FilterIndex::new(),
@@ -856,11 +859,11 @@ impl LabelStore {
     }
 
     /// Ingest one schema: intern its labels (building profiles only for
-    /// labels never seen before), record its column map, append its
+    /// labels never seen before), append its column slot, append its
     /// token postings. Called by `Repository::add` with the id the
     /// schema gets; ids must arrive densely in order.
     pub(crate) fn add_schema(&mut self, sid: SchemaId, schema: &Schema) {
-        debug_assert_eq!(sid.index(), self.schema_labels.len());
+        debug_assert_eq!(sid.index(), self.columns.slots());
         let labels = self.intern_schema_labels(schema);
         for &lid in &labels {
             let postings = &mut self.label_schemas[lid.index()];
@@ -870,7 +873,7 @@ impl LabelStore {
                 postings.push(sid);
             }
         }
-        self.schema_labels.push(labels);
+        self.columns.push(labels, schema);
         self.removed.push(false);
         self.generations.push(0);
         self.index.add_schema(sid, schema);
@@ -880,7 +883,7 @@ impl LabelStore {
     /// prefix fingerprints for labels never seen before, and return the
     /// arena-order column map. Label-level state stays append-only —
     /// shared by ingest ([`add_schema`](Self::add_schema)) and replace
-    /// ([`reingest_schema`](Self::reingest_schema)).
+    /// ([`replace_schema`](Self::replace_schema)).
     fn intern_schema_labels(&mut self, schema: &Schema) -> Vec<LabelId> {
         let known = self.interner.len();
         let labels = self.interner.intern_schema(schema);
@@ -908,11 +911,33 @@ impl LabelStore {
         labels
     }
 
-    /// Remove schema `sid`: strip it from the token index and the
-    /// label→schema postings (targeted — only the removed schema's own
-    /// tokens and labels are touched, nothing is rebuilt), clear its
-    /// column map, and tombstone the slot. `schema` must be the schema
-    /// the slot held. Called by
+    /// Strip live slot `sid` — holding `schema` — from the token index
+    /// and the label→schema postings (targeted: only its own tokens and
+    /// labels are touched, nothing is rebuilt), bump its generation, and
+    /// count the removal. Its column slot is left for the caller to
+    /// clear or overwrite.
+    fn unlink_schema(&mut self, sid: SchemaId, schema: &Schema) {
+        debug_assert!(!self.removed[sid.index()], "slot already tombstoned");
+        debug_assert_eq!(self.columns.labels(sid).len(), schema.len());
+        // A label the schema repeats finds `sid` already gone.
+        for &lid in self.columns.labels(sid) {
+            let postings = &mut self.label_schemas[lid.index()];
+            if let Ok(pos) = postings.binary_search(&sid) {
+                postings.remove(pos);
+            }
+        }
+        self.index.remove_schema(sid, schema);
+        self.generations[sid.index()] += 1;
+        self.schema_removes.fetch_add(1, Relaxed);
+        if smx_obs::enabled() {
+            smx_obs::registry().counter("store.schema_removes").inc();
+        }
+    }
+
+    /// Remove schema `sid`: unlink it from the token index and the
+    /// label→schema postings, splice its column slot empty, and
+    /// tombstone the slot. `schema` must be the schema the slot held.
+    /// Called by
     /// [`Repository::remove_schema`](crate::Repository::remove_schema).
     ///
     /// Cached score rows are deliberately **not** invalidated: rows are
@@ -921,50 +946,38 @@ impl LabelStore {
     /// across removals — a removed schema's labels simply become
     /// orphans ([`orphaned_labels`](Self::orphaned_labels)) that no
     /// live schema references. Schema membership is consulted at
-    /// matrix-build time through the (immediately updated) column maps
+    /// matrix-build time through the (immediately updated) column arena
     /// and postings, so stale rows cannot leak removed schemas into
     /// answers.
     pub(crate) fn remove_schema(&mut self, sid: SchemaId, schema: &Schema) {
-        debug_assert!(!self.removed[sid.index()], "slot already tombstoned");
-        debug_assert_eq!(self.schema_labels[sid.index()].len(), schema.len());
-        let mut labels = std::mem::take(&mut self.schema_labels[sid.index()]);
-        labels.sort_unstable();
-        labels.dedup();
-        for lid in labels {
-            let postings = &mut self.label_schemas[lid.index()];
-            if let Ok(pos) = postings.binary_search(&sid) {
-                postings.remove(pos);
-            }
-        }
-        self.index.remove_schema(sid, schema);
+        self.unlink_schema(sid, schema);
+        self.columns.clear(sid);
         self.removed[sid.index()] = true;
-        self.generations[sid.index()] += 1;
-        self.schema_removes.fetch_add(1, Relaxed);
-        if smx_obs::enabled() {
-            smx_obs::registry().counter("store.schema_removes").inc();
-        }
     }
 
-    /// Fill tombstoned slot `sid` with `schema`: intern its labels (new
-    /// distinct labels append, exactly like ingest), splice the slot
-    /// back into the label→schema postings and token index at its
-    /// sorted position, and bump the slot's generation. Called by
-    /// [`Repository::replace_schema`](crate::Repository::replace_schema)
-    /// after [`remove_schema`](Self::remove_schema).
-    pub(crate) fn reingest_schema(&mut self, sid: SchemaId, schema: &Schema) {
-        debug_assert!(self.removed[sid.index()], "slot must be tombstoned");
-        debug_assert!(self.schema_labels[sid.index()].is_empty());
+    /// Make slot `sid` hold `schema`. `old` is the schema a live slot
+    /// held — it is unlinked first, exactly as a removal would, so a
+    /// live replace still bumps the generation twice — or `None` for a
+    /// tombstone. Then `schema`'s labels are interned (new distinct
+    /// labels append, exactly like ingest), the slot is spliced back into
+    /// the label→schema postings and token index at its sorted position,
+    /// and its column slot is written once: in place when the node count
+    /// is unchanged. Called by
+    /// [`Repository::replace_schema`](crate::Repository::replace_schema).
+    pub(crate) fn replace_schema(&mut self, sid: SchemaId, old: Option<&Schema>, schema: &Schema) {
+        match old {
+            Some(old) => self.unlink_schema(sid, old),
+            None => debug_assert!(self.removed[sid.index()], "slot must be tombstoned"),
+        }
         let labels = self.intern_schema_labels(schema);
-        let mut distinct = labels.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        for lid in distinct {
+        // A label the schema repeats finds `sid` already present.
+        for &lid in &labels {
             let postings = &mut self.label_schemas[lid.index()];
             if let Err(pos) = postings.binary_search(&sid) {
                 postings.insert(pos, sid);
             }
         }
-        self.schema_labels[sid.index()] = labels;
+        self.columns.write(sid, &labels, schema);
         self.index.insert_schema_sorted(sid, schema);
         self.removed[sid.index()] = false;
         self.generations[sid.index()] += 1;
@@ -1031,7 +1044,20 @@ impl LabelStore {
     /// Per-node label ids of `sid`, arena order — the column map a cost
     /// matrix indexes score rows with.
     pub fn schema_labels(&self, sid: SchemaId) -> &[LabelId] {
-        &self.schema_labels[sid.index()]
+        self.columns.labels(sid)
+    }
+
+    /// Per-node tree shapes of `sid`, arena order — what the search
+    /// prices edges with (an O(1) ancestor test, see [`NodeShape`]).
+    pub fn schema_shapes(&self, sid: SchemaId) -> &[NodeShape] {
+        self.columns.shapes(sid)
+    }
+
+    /// The flat column arena behind [`schema_labels`](Self::schema_labels)
+    /// and [`schema_shapes`](Self::schema_shapes): one slot per schema,
+    /// holding exactly the repository's elements.
+    pub fn columns(&self) -> &ColumnArena {
+        &self.columns
     }
 
     /// The schemas containing label `id`, ascending and deduplicated —
@@ -1820,7 +1846,7 @@ impl LabelStore {
     }
 
     /// Snapshot the store's hot state — interned labels, per-schema
-    /// column maps, token index, cached score rows in LRU order, and the
+    /// label columns, token index, cached score rows in LRU order, and the
     /// cache configuration — as plain data for `smx-persist` to encode.
     ///
     /// Taken under the exclusive row lock, so the row image is
@@ -1855,10 +1881,14 @@ impl LabelStore {
             labels: (0..self.interner.len())
                 .map(|id| self.interner.resolve(LabelId(id as u32)).to_owned())
                 .collect(),
-            schema_labels: self
-                .schema_labels
-                .iter()
-                .map(|labels| labels.iter().map(|id| id.0).collect())
+            schema_labels: (0..self.columns.slots() as u32)
+                .map(|sid| {
+                    self.columns
+                        .labels(SchemaId(sid))
+                        .iter()
+                        .map(|id| id.0)
+                        .collect()
+                })
                 .collect(),
             postings: self
                 .index
@@ -1883,20 +1913,28 @@ impl LabelStore {
         }
     }
 
-    /// Rebuild a store from an exported (or snapshot-decoded) image.
+    /// Rebuild a store from an exported (or snapshot-decoded) image of
+    /// the repository whose schemas are `schemas`.
     ///
     /// Labels are re-interned in id order and their [`LabelProfile`]s
     /// rebuilt (a pure function of the label text, so row values stay
     /// bitwise identical); cached rows are re-stamped in the image's LRU
     /// order. If the image holds more rows than `max_cached_rows`
-    /// allows, only the most recently used rows are kept. Counters start
-    /// fresh except `profile_builds`, which counts the rebuilds this
-    /// import performed.
+    /// allows, only the most recently used rows are kept. Node shapes
+    /// are never part of the image: the column arena rebuilds them from
+    /// `schemas`. Counters start fresh except `profile_builds`, which
+    /// counts the rebuilds this import performed.
     ///
-    /// The image must be internally consistent (distinct labels, column
-    /// ids within range, row lengths no longer than the label list) —
+    /// The image must be internally consistent and describe `schemas`
+    /// (distinct labels, one column map per schema with one id in range
+    /// per node, row lengths no longer than the label list) —
     /// `smx-persist` validates decoded snapshots before calling this.
-    pub fn import_state(state: StoreState) -> LabelStore {
+    ///
+    /// # Panics
+    ///
+    /// If the image's column-map count or any column map's length
+    /// differs from `schemas`.
+    pub fn import_state(state: StoreState, schemas: &[Schema]) -> LabelStore {
         let mut interner = LabelInterner::new();
         let mut profiles = Vec::with_capacity(state.labels.len());
         let mut prefix_hashes = Vec::with_capacity(state.labels.len() + 1);
@@ -1912,17 +1950,20 @@ impl LabelStore {
             let last = *prefix_hashes.last().expect("offset basis always present");
             prefix_hashes.push(fingerprint_push(last, label));
         }
-        let schema_labels: Vec<Vec<LabelId>> = state
-            .schema_labels
-            .into_iter()
-            .map(|labels| labels.into_iter().map(LabelId).collect())
-            .collect();
-        // label→schema postings are pure derived state: rebuild the
-        // inverse of the imported column maps.
+        assert_eq!(
+            state.schema_labels.len(),
+            schemas.len(),
+            "the image must hold one column map per schema"
+        );
+        // The column arena and the label→schema postings (pure derived
+        // state: the inverse of the imported column maps), slot by slot.
+        let mut columns = ColumnArena::new();
+        columns.reserve(schemas.len(), schemas.iter().map(Schema::len).sum());
         let mut label_schemas: Vec<Vec<SchemaId>> = vec![Vec::new(); profiles.len()];
-        for (i, labels) in schema_labels.iter().enumerate() {
+        for (i, (ids, schema)) in state.schema_labels.iter().zip(schemas).enumerate() {
             let sid = SchemaId(i as u32);
-            for &lid in labels {
+            columns.push(ids.iter().map(|&id| LabelId(id)), schema);
+            for &lid in columns.labels(sid) {
                 let postings = &mut label_schemas[lid.index()];
                 if postings.last() != Some(&sid) {
                     postings.push(sid);
@@ -1941,7 +1982,7 @@ impl LabelStore {
         // Tombstone state: images that predate mutability described a
         // fully live repository, so absent (or short) tombstone lists
         // default to live-at-generation-0 per slot.
-        let slots = schema_labels.len();
+        let slots = columns.slots();
         let mut removed = vec![false; slots];
         let mut generations = vec![0u64; slots];
         if let Some(tombstones) = state.tombstones {
@@ -1971,7 +2012,7 @@ impl LabelStore {
             interner,
             profiles,
             prefix_hashes,
-            schema_labels,
+            columns,
             label_schemas,
             index: TokenIndex::from_postings(state.postings),
             filters,
@@ -2034,7 +2075,7 @@ impl Clone for LabelStore {
             interner: self.interner.clone(),
             profiles: self.profiles.clone(),
             prefix_hashes: self.prefix_hashes.clone(),
-            schema_labels: self.schema_labels.clone(),
+            columns: self.columns.clone(),
             label_schemas: self.label_schemas.clone(),
             index: self.index.clone(),
             filters: self.filters.clone(),
@@ -2062,7 +2103,7 @@ impl std::fmt::Debug for LabelStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LabelStore")
             .field("labels", &self.profiles.len())
-            .field("schemas", &self.schema_labels.len())
+            .field("schemas", &self.columns.slots())
             .field("live_schemas", &self.live_schema_count())
             .field("cached_rows", &self.cached_rows())
             .field("partial_rows", &self.cached_partial_rows())
@@ -2569,7 +2610,8 @@ mod tests {
             state.rows[0].0, "title",
             "rows export least recently used first"
         );
-        let imported = LabelStore::import_state(state.clone());
+        let schemas: Vec<Schema> = r.iter().map(|(_, s)| s.clone()).collect();
+        let imported = LabelStore::import_state(state.clone(), &schemas);
         assert_eq!(imported.len(), store.len());
         assert_eq!(imported.cached_rows(), 2);
         assert_eq!(imported.profile_builds(), store.len() as u64);
@@ -2580,9 +2622,9 @@ mod tests {
                 store.interner().resolve(id)
             );
         }
-        for sid in [SchemaId(0), SchemaId(1)] {
-            assert_eq!(imported.schema_labels(sid), store.schema_labels(sid));
-        }
+        // Labels come from the image, shapes are rebuilt from the
+        // schemas: both equal the live store's.
+        assert_eq!(imported.columns(), store.columns());
         assert_eq!(
             imported.token_index().postings().count(),
             store.token_index().postings().count()
@@ -2604,7 +2646,7 @@ mod tests {
         // *least* recently used row ("title") is the one dropped.
         let mut tight = state;
         tight.max_cached_rows = Some(1);
-        let bounded = LabelStore::import_state(tight);
+        let bounded = LabelStore::import_state(tight, &schemas);
         assert_eq!(bounded.cached_rows(), 1);
         assert!(bounded.has_cached_row("orderTitle"));
         assert!(!bounded.has_cached_row("title"));

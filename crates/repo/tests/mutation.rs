@@ -2,7 +2,10 @@
 //! with identical labels, replace under a bounded store with spilled
 //! rows, removal racing a concurrent batch sweep on a shared store, and
 //! a property test proving arbitrary mutation histories stay equivalent
-//! to a fresh rebuild.
+//! to a fresh rebuild — column arena included: every slot's labels and
+//! node shapes, and an arena exactly as long as the repository's element
+//! count. A last property pins the arena's node shapes to the schema's
+//! own parent-pointer walks.
 //!
 //! The load-bearing invariant throughout: label-level derived state
 //! (interner, profiles, cached score rows) is **append-only** across
@@ -11,8 +14,10 @@
 //! every history.
 
 use proptest::prelude::*;
-use smx_repo::{EvictionSink, LabelId, Repository, SchemaId, StoreConfig};
-use smx_synth::strategies::{pool_indices, schema_with_label, small_repository, LABEL_POOL};
+use smx_repo::{EvictionSink, LabelId, NodeShape, Repository, SchemaId, StoreConfig};
+use smx_synth::strategies::{
+    pool_indices, scenarios, schema_with_label, small_repository, LABEL_POOL,
+};
 use smx_text::NameSimilarity;
 use smx_xml::{PrimitiveType, Schema, SchemaBuilder};
 use std::collections::HashMap;
@@ -63,7 +68,8 @@ fn assert_equals_fresh_rebuild(repo: &Repository) {
         repo.live_schemas(),
         repo.schema_ids().filter(|&s| !repo.is_removed(s)).count()
     );
-    // Column maps resolve to the same label text slot by slot.
+    // Column slots resolve to the same label text, and hold the same
+    // node shapes, slot by slot; both arenas hold exactly the elements.
     for sid in repo.schema_ids() {
         let names = |r: &Repository| {
             r.store()
@@ -73,7 +79,14 @@ fn assert_equals_fresh_rebuild(repo: &Repository) {
                 .collect::<Vec<_>>()
         };
         assert_eq!(names(repo), names(&fresh), "{sid}");
+        assert_eq!(
+            repo.store().schema_shapes(sid),
+            fresh.store().schema_shapes(sid),
+            "{sid}: shapes diverged from rebuild"
+        );
     }
+    assert_eq!(repo.store().columns().len(), repo.total_elements());
+    assert_eq!(fresh.store().columns().len(), fresh.total_elements());
 }
 
 #[test]
@@ -231,6 +244,9 @@ proptest! {
             }
             prop_assert!(repo.store().cached_rows() <= cap);
             prop_assert!(repo.live_schemas() <= repo.len());
+            // Splices never leave dead entries behind.
+            prop_assert_eq!(repo.store().columns().len(), repo.total_elements());
+            prop_assert_eq!(repo.store().columns().slots(), repo.len());
         }
         let c = repo.store().counters();
         prop_assert_eq!(c.row_hits + c.row_misses, c.row_lookups);
@@ -287,5 +303,38 @@ proptest! {
         assert_equals_fresh_rebuild(&owner);
         let c = owner.store().counters();
         prop_assert_eq!(c.row_hits + c.row_misses, c.row_lookups);
+    }
+
+    /// The arena's interval test and depth gap agree with the schema's
+    /// own parent-pointer walks for every ordered node pair of every
+    /// schema a generated scenario holds (personal schema included):
+    /// `ancestor_gap(a, b)` is `Some(depth(b) - depth(a))` exactly when
+    /// `is_ancestor(a, b)`. Every edge pricer feeds that pair into one
+    /// penalty formula, so shape-priced penalties equal the oracle's
+    /// bitwise.
+    #[test]
+    fn arena_shapes_match_schema_walks(scenario in scenarios()) {
+        let mut repo = Repository::new();
+        repo.add(scenario.personal.clone());
+        for (_, schema) in scenario.repository.iter() {
+            repo.add(schema.clone());
+        }
+        for (sid, schema) in repo.iter() {
+            let shapes: &[NodeShape] = repo.store().schema_shapes(sid);
+            prop_assert_eq!(shapes.len(), schema.len());
+            for a in schema.node_ids() {
+                let sa = shapes[a.index()];
+                prop_assert_eq!(sa.depth as usize, schema.depth(a));
+                for b in schema.node_ids() {
+                    let sb = shapes[b.index()];
+                    prop_assert_eq!(sa.is_ancestor_of(sb), schema.is_ancestor(a, b));
+                    prop_assert_eq!(
+                        sa.ancestor_gap(sb),
+                        schema.is_ancestor(a, b).then(|| schema.depth(b) - schema.depth(a)),
+                        "{} over {} in {}", a, b, sid
+                    );
+                }
+            }
+        }
     }
 }

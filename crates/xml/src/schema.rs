@@ -27,6 +27,12 @@ impl Schema {
         }
     }
 
+    /// Reserve room for exactly `additional` more nodes — a decoder that
+    /// knows the node count up front builds the arena in one allocation.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve_exact(additional);
+    }
+
     /// The schema's name (unique within a repository).
     pub fn name(&self) -> &str {
         &self.name

@@ -60,7 +60,12 @@
 #      mutation differential gate (a sharded, bounded, mutated
 #      repository gives every matcher answers bitwise identical to a
 #      fresh unsharded rebuild).
-#  13. bench-regression guard (scripts/bench_guard.sh): a fresh
+#  13. request-level benchmark smoke (scripts/reqbench_smoke.sh):
+#      reqbench built offline, every BENCHMARK.json workload run for one
+#      traced second at a fixed seed; fails unless each reports
+#      "correct": true — the benchmark that gates changes must keep
+#      building and answering correctly against the current API.
+#  14. bench-regression guard (scripts/bench_guard.sh): a fresh
 #      scripts/bench_matching.sh run compared against the committed
 #      BENCH_matching.json with a +25% budget.
 #
@@ -113,49 +118,52 @@ named_suites() {
   fi
 }
 
-echo "== [1/13] cargo fmt --all --check"
+echo "== [1/14] cargo fmt --all --check"
 cargo fmt --all --check
 
-echo "== [2/13] cargo build --release"
+echo "== [2/14] cargo build --release"
 cargo build --release
 
-echo "== [3/13] cargo test -q"
+echo "== [3/14] cargo test -q"
 cargo test -q
 
-echo "== [4/13] cargo clippy --all-targets -- -D warnings"
+echo "== [4/14] cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "== [5/13] cargo doc --no-deps (warnings denied)"
+echo "== [5/14] cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p smx -p smx-core -p smx-obs -p smx-text -p smx-xml -p smx-repo \
   -p smx-match -p smx-persist -p smx-eval -p smx-synth -p smx-bench
 
-echo "== [6/13] cargo bench --no-run"
+echo "== [6/14] cargo bench --no-run"
 cargo bench -p smx-bench --no-run
 
-echo "== [7/13] snapshot round-trip smoke (examples/warm_restart)"
+echo "== [7/14] snapshot round-trip smoke (examples/warm_restart)"
 cargo run --release --example warm_restart >/dev/null
 
-echo "== [8/13] fault-injection suites (crash matrix, chaos, spill compaction)"
+echo "== [8/14] fault-injection suites (crash matrix, chaos, spill compaction)"
 named_suites -p smx-persist --test crash_matrix --test chaos --test spill_compaction
 
-echo "== [9/13] certified candidate-tier suites (differential, bound admissibility)"
+echo "== [9/14] certified candidate-tier suites (differential, bound admissibility)"
 named_suites -p smx-match --test candidate_differential --test bound_admissibility
 
-echo "== [10/13] pipeline-algebra suites (differential, algebra, certified matrix)"
+echo "== [10/14] pipeline-algebra suites (differential, algebra, certified matrix)"
 named_suites -p smx-match --test pipeline_differential --test pipeline_algebra --test certified_matrix
 
-echo "== [11/13] observability suites (trace identity, metrics properties, counter consistency)"
+echo "== [11/14] observability suites (trace identity, metrics properties, counter consistency)"
 named_suites -p smx-persist --test trace_identity
 named_suites -p smx-obs --test metrics_properties
 named_suites -p smx-repo --test trace_concurrency
 SMX_TRACE=1 cargo run --release --example observability >/dev/null
 
-echo "== [12/13] sharded-store mutation suites (edge cases + properties, differential gate)"
+echo "== [12/14] sharded-store mutation suites (edge cases + properties, differential gate)"
 named_suites -p smx-repo --test mutation
 named_suites -p smx-match --test mutation_differential
 
-echo "== [13/13] bench-regression guard (scripts/bench_guard.sh, mode: ${SMX_BENCH_GUARD:-absolute})"
+echo "== [13/14] request-level benchmark smoke (scripts/reqbench_smoke.sh)"
+scripts/reqbench_smoke.sh
+
+echo "== [14/14] bench-regression guard (scripts/bench_guard.sh, mode: ${SMX_BENCH_GUARD:-absolute})"
 scripts/bench_guard.sh
 
 echo "verify: OK"
