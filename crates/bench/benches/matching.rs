@@ -30,12 +30,8 @@
 //! `pipeline` group races the composed candidate→beam→exhaustive
 //! [`Pipeline`] against the monolithic exhaustive matcher on the same
 //! cold 1024-schema repository; the within-run ratio is guarded as
-//! `relative.pipeline_over_exhaustive_1024`. The `store_sharded` group
-//! races multi-thread warm-hit sweeps over a 16-shard store against an
-//! identical single-lock store; its paired ratio is guarded as
-//! `relative.sharded_sweep_over_single_lock` on multicore hosts.
-//! `SMX_BENCH_XL=1` extends `s1_vs_repository_size` to 10³–10⁵
-//! mixed-domain schemas.
+//! `relative.pipeline_over_exhaustive_1024`. `SMX_BENCH_XL=1` extends
+//! `s1_vs_repository_size` to 10³–10⁵ mixed-domain schemas.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smx::matching::{
@@ -449,126 +445,6 @@ fn bench_repository_scaling(c: &mut Criterion) {
     }
 }
 
-fn bench_store_sharded(c: &mut Criterion) {
-    // Multi-thread warm-hit sweep throughput: 16 shards vs one global
-    // lock over identical stores. A warm `score_rows` hit takes only
-    // its shard's read lock, so the contended cacheline under
-    // concurrency is the lock word itself — sharding spreads the
-    // sweepers over 16 locks instead of one.
-    // scripts/bench_matching.sh records the *paired* ratio
-    // `store_sharded/paired_sharded_over_single_lock` (single-lock
-    // time over sharded time — the sharded speedup) as
-    // `relative.sharded_sweep_over_single_lock`, and
-    // scripts/bench_guard.sh floors it at 1.5 on multicore hosts. On a
-    // single-core host no concurrency exists and the ratio is
-    // meaningless, so the paired line is only emitted when
-    // `available_parallelism() >= 2` and the guard skips the floor
-    // loudly instead of failing.
-    use smx::repo::StoreConfig;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    let sc = Scenario::generate(ScenarioConfig {
-        derived_schemas: 16,
-        noise_schemas: 8,
-        personal_nodes: 4,
-        host_nodes: 9,
-        perturbation_strength: 0.7,
-        ..Default::default()
-    });
-    let build = |shards: usize| {
-        let mut repo = Repository::with_store_config(StoreConfig {
-            shards,
-            max_cached_rows: None,
-            batch_threads: 1,
-        });
-        for (_, schema) in sc.repository.iter() {
-            repo.add(schema.clone());
-        }
-        repo
-    };
-    let sharded = build(16);
-    let single = build(1);
-    let labels: Vec<String> = (0..sharded.store().len())
-        .map(|id| {
-            sharded
-                .store()
-                .interner()
-                .resolve(smx::repo::LabelId(id as u32))
-                .to_owned()
-        })
-        .collect();
-    let queries: Vec<&str> = labels.iter().map(String::as_str).collect();
-    // Warm every row once up front: the measured loops are pure hits.
-    let _ = sharded.store().score_rows(&queries);
-    let _ = single.store().score_rows(&queries);
-    let sweep = |repo: &Repository| {
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let queries = &queries;
-                let store = repo.store();
-                scope.spawn(move || {
-                    // Phase-shift each thread's starting chunk so the
-                    // sweepers sit on different shards at any instant.
-                    let split = (t * 8) % queries.len();
-                    for chunk in queries[split..].chunks(8).chain(queries[..split].chunks(8)) {
-                        black_box(store.score_rows(chunk));
-                    }
-                });
-            }
-        });
-    };
-    let mut group = c.benchmark_group("store_sharded");
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::from_parameter("sharded"), &0, |b, _| {
-        b.iter(|| sweep(&sharded))
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("single_lock"), &0, |b, _| {
-        b.iter(|| sweep(&single))
-    });
-    group.finish();
-    if let Ok(path) = std::env::var("SMX_BENCH_JSON") {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("SMX_BENCH_JSON path is writable");
-        writeln!(
-            f,
-            "{{\"bench\":\"store_sharded/threads\",\"value\":{threads}}}"
-        )
-        .unwrap();
-        if threads >= 2 {
-            // Paired measurement, same discipline as trace_overhead:
-            // alternating sharded/single-lock sweeps inside one loop so
-            // frequency drift and cache state hit both sides equally.
-            let mut sharded_ns = 0u128;
-            let mut single_ns = 0u128;
-            for round in 0..24 {
-                let t = std::time::Instant::now();
-                sweep(&sharded);
-                let s_ns = t.elapsed().as_nanos();
-                let t = std::time::Instant::now();
-                sweep(&single);
-                let g_ns = t.elapsed().as_nanos();
-                if round >= 4 {
-                    // First rounds are warm-up.
-                    sharded_ns += s_ns;
-                    single_ns += g_ns;
-                }
-            }
-            writeln!(
-                f,
-                "{{\"bench\":\"store_sharded/paired_sharded_over_single_lock\",\"value\":{}}}",
-                single_ns as f64 / sharded_ns as f64
-            )
-            .unwrap();
-        }
-    }
-}
-
 /// Mixed-domain repository of `total` schemas for the candidate-tier
 /// scaling bench: 8 Publications-derived signal schemas (9 host nodes,
 /// perturbation 0.7 — the vocabulary the personal schema actually
@@ -945,7 +821,6 @@ criterion_group!(
     bench_restart,
     bench_row_kernel,
     bench_repository_scaling,
-    bench_store_sharded,
     bench_candidate_tier,
     bench_pipeline,
     bench_trace_overhead

@@ -549,7 +549,7 @@ mod tests {
         let mut bounded = Repository::with_store_config(smx_repo::StoreConfig {
             max_cached_rows: Some(cap),
             batch_threads: 1,
-            shards: 0,
+            ..smx_repo::StoreConfig::default()
         });
         for s in schemas() {
             unbounded.add(s);

@@ -72,9 +72,9 @@ fn pinned_build_matrices_survive_a_bound_below_the_batch_vocabulary() {
     let bounded = with_config(
         &repository,
         StoreConfig {
-            shards: 0,
             max_cached_rows: Some(1),
             batch_threads: 0,
+            ..StoreConfig::default()
         },
     );
     let batch = BatchProblem::new(personals.clone(), bounded).expect("non-empty schemas");
@@ -123,9 +123,9 @@ fn admission_chunks_cover_the_batch_and_respect_the_bound() {
         let bounded = with_config(
             &repository,
             StoreConfig {
-                shards: 0,
                 max_cached_rows: Some(cap),
                 batch_threads: 0,
+                ..StoreConfig::default()
             },
         );
         let batch = BatchProblem::new(personals.clone(), bounded).expect("non-empty schemas");
@@ -164,9 +164,9 @@ fn within_a_chunk_no_evictions_and_no_extra_misses() {
     let bounded = with_config(
         &repository,
         StoreConfig {
-            shards: 0,
             max_cached_rows: Some(cap),
             batch_threads: 0,
+            ..StoreConfig::default()
         },
     );
     let batch = BatchProblem::new(personals, bounded).expect("non-empty schemas");
@@ -217,9 +217,9 @@ fn bounded_chunked_run_batch_is_bitwise_identical_and_thrash_free() {
         let bounded = with_config(
             &repository,
             StoreConfig {
-                shards: 0,
                 max_cached_rows: Some(cap),
                 batch_threads: 0,
+                ..StoreConfig::default()
             },
         );
         let batch = BatchProblem::new(personals.clone(), bounded).expect("non-empty schemas");

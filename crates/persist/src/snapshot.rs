@@ -352,7 +352,7 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
     let (labels, schema_labels) = decode_labels(payload(section::LABELS)?)?;
     let postings = decode_tokens(payload(section::TOKENS)?)?;
     let rows = decode_rows(payload(section::ROWS)?)?;
-    let (max_cached_rows, batch_threads, shards) = decode_config(payload(section::CONFIG)?)?;
+    let (max_cached_rows, batch_threads) = decode_config(payload(section::CONFIG)?)?;
     // FILTERS is additive: absent (an older writer) means the lanes are
     // rebuilt from the label text at import; *present* but undecodable
     // is damage and rejected like any other strict failure. (A present
@@ -377,7 +377,6 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
         rows,
         max_cached_rows,
         batch_threads,
-        shards,
         filters,
         tombstones,
     };
@@ -472,13 +471,13 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
     };
 
     // CONFIG: defaults on any damage.
-    let (max_cached_rows, batch_threads, shards) = match payload(section::CONFIG)
+    let (max_cached_rows, batch_threads) = match payload(section::CONFIG)
         .and_then(|p| decode_config(p).map_err(|_| Damage::Undecodable))
     {
         Ok(config) => config,
         Err(damage) => {
             events.push(SalvageEvent::ConfigDefaulted(damage));
-            (None, 0, 0)
+            (None, 0)
         }
     };
 
@@ -534,7 +533,6 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
         rows,
         max_cached_rows,
         batch_threads,
-        shards,
         filters,
         tombstones,
     };
@@ -886,15 +884,10 @@ fn encode_config(state: &StoreState) -> Vec<u8> {
         None => w.put_u8(0),
     }
     w.put_u64(state.batch_threads as u64);
-    // Trailing, added with the sharded store: the configured shard
-    // count (0 = auto). Old readers never reach it (they stop after
-    // batch_threads); old payloads simply end before it — see
-    // decode_config.
-    w.put_u64(state.shards as u64);
     w.into_bytes()
 }
 
-fn decode_config(bytes: &[u8]) -> Result<(Option<usize>, usize, usize), PersistError> {
+fn decode_config(bytes: &[u8]) -> Result<(Option<usize>, usize), PersistError> {
     let mut r = Reader::new(bytes);
     let max_cached_rows = match r.get_u8()? {
         0 => None,
@@ -902,17 +895,10 @@ fn decode_config(bytes: &[u8]) -> Result<(Option<usize>, usize, usize), PersistE
         f => return Err(PersistError::Corrupt(format!("bad config flag {f}"))),
     };
     let batch_threads = r.get_u64()? as usize;
-    // The shard count is a trailing addition: payloads written before
-    // the sharded store end here, and 0 (auto) reproduces their
-    // behaviour exactly — the pre-sharding store was one shard, and
-    // auto on the same machine resolves the same everywhere answers
-    // are concerned (sharding never changes results, only contention).
-    let shards = if r.remaining() >= 8 {
-        r.get_u64()? as usize
-    } else {
-        0
-    };
-    Ok((max_cached_rows, batch_threads, shards))
+    // Writers from the sharded-store era appended a shard count here.
+    // The store has no shards any more, so trailing bytes are ignored
+    // and those snapshots keep loading.
+    Ok((max_cached_rows, batch_threads))
 }
 
 /// TOMBSTONES payload: slot count, then one `(removed, generation)`
@@ -1229,9 +1215,9 @@ mod tests {
     #[test]
     fn config_round_trips() {
         let mut repo = Repository::with_store_config(smx_repo::StoreConfig {
-            shards: 0,
             max_cached_rows: Some(3),
             batch_threads: 2,
+            ..smx_repo::StoreConfig::default()
         });
         repo.add(SchemaBuilder::new("s").root("r").build());
         let loaded = Repository::load_snapshot(&repo.save_snapshot()).unwrap();
@@ -1324,9 +1310,9 @@ mod tests {
     #[test]
     fn salvage_defaults_corrupt_config() {
         let mut repo = Repository::with_store_config(smx_repo::StoreConfig {
-            shards: 0,
             max_cached_rows: Some(3),
             batch_threads: 2,
+            ..smx_repo::StoreConfig::default()
         });
         repo.add(SchemaBuilder::new("s").root("r").build());
         let mut bytes = repo.save_snapshot();
@@ -1527,19 +1513,23 @@ mod tests {
     }
 
     #[test]
-    fn config_payloads_without_shard_count_decode_as_auto() {
-        // A CONFIG payload from a pre-sharding writer ends after
-        // batch_threads; the reader must treat the missing trailing
-        // field as `shards: 0` (auto) rather than erroring.
+    fn config_payloads_of_every_writer_generation_decode() {
+        // Before the sharded store, a CONFIG payload ended after
+        // batch_threads.
         let mut w = Writer::new();
         w.put_u8(1);
         w.put_u64(7);
         w.put_u64(3);
-        let (cap, threads, shards) = decode_config(&w.into_bytes()).unwrap();
-        assert_eq!(cap, Some(7));
-        assert_eq!(threads, 3);
-        assert_eq!(shards, 0);
-        // And the current writer round-trips a configured count.
+        let unsharded = w.into_bytes();
+        assert_eq!(decode_config(&unsharded).unwrap(), (Some(7), 3));
+        // Sharded-store writers appended a shard count; it is ignored.
+        let mut w = Writer::new();
+        w.put_u8(0);
+        w.put_u64(2);
+        w.put_u64(16);
+        assert_eq!(decode_config(&w.into_bytes()).unwrap(), (None, 2));
+        // The current writer round-trips cap and threads in exactly the
+        // pre-sharding layout, with no trailing bytes.
         let state = StoreState {
             labels: Vec::new(),
             schema_labels: Vec::new(),
@@ -1547,12 +1537,11 @@ mod tests {
             rows: Vec::new(),
             max_cached_rows: Some(7),
             batch_threads: 3,
-            shards: 16,
             filters: None,
             tombstones: None,
         };
-        let (cap, threads, shards) = decode_config(&encode_config(&state)).unwrap();
-        assert_eq!((cap, threads, shards), (Some(7), 3, 16));
+        assert_eq!(encode_config(&state), unsharded);
+        assert_eq!(decode_config(&encode_config(&state)).unwrap(), (Some(7), 3));
     }
 
     #[test]

@@ -65,9 +65,9 @@ fn bounded_with_faulty_spill(
     path: &PathBuf,
 ) -> (Repository, Arc<SpillFile>) {
     let mut repo = Repository::with_store_config(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(cap),
         batch_threads: 0,
+        ..StoreConfig::default()
     });
     for (_, schema) in source.iter() {
         repo.add(schema.clone());
@@ -239,14 +239,13 @@ fn salvage_storm_reports_each_damaged_section_and_answers_identically() {
 }
 
 #[test]
-fn mutated_sharded_store_is_bitwise_identical_under_fault_storms() {
-    // The tentpole gate, composed with the chaos seam: a *sharded*,
-    // bounded store whose repository has been mutated (one slot
-    // removed, one replaced) rides the same fault storms — and every
-    // roster matcher must still answer bitwise identically to a
-    // fault-free, unsharded, unbounded rebuild of the same final
-    // schemas (tombstoned slot as the empty placeholder every matcher
-    // skips).
+fn mutated_bounded_store_is_bitwise_identical_under_fault_storms() {
+    // The mutation gate, composed with the chaos seam: a bounded store
+    // whose repository has been mutated (one slot removed, one
+    // replaced) rides the same fault storms — and every roster matcher
+    // must still answer bitwise identically to a fault-free, unbounded
+    // rebuild of the same final schemas (tombstoned slot as the empty
+    // placeholder every matcher skips).
     let sc = scenario(7004);
     let replacement = scenario(7104)
         .repository
@@ -264,9 +263,9 @@ fn mutated_sharded_store_is_bitwise_identical_under_fault_storms() {
         let path = temp_path(&format!("mutated-storm-{name}"));
         let io = Arc::new(FaultIo::new(Arc::new(RealIo), plan));
         let mut stormy = Repository::with_store_config(StoreConfig {
-            shards: 8,
             max_cached_rows: Some(1),
             batch_threads: 0,
+            ..StoreConfig::default()
         });
         for (_, schema) in sc.repository.iter() {
             stormy.add(schema.clone());
@@ -309,7 +308,7 @@ fn mutated_sharded_store_is_bitwise_identical_under_fault_storms() {
             assert_eq!(
                 canonical_answers(&want, &registry),
                 canonical_answers(&got, &registry),
-                "storm {name:?}: matcher {matcher_name} diverged on the mutated sharded store"
+                "storm {name:?}: matcher {matcher_name} diverged on the mutated bounded store"
             );
         }
         std::fs::remove_file(&path).ok();
@@ -351,9 +350,9 @@ proptest! {
         // store without a sink is the degenerate (still correct) case.
         let io = Arc::new(FaultIo::new(Arc::new(RealIo), plan));
         let mut repo = Repository::with_store_config(StoreConfig {
-            shards: 0,
             max_cached_rows: Some(cap),
             batch_threads: 0,
+            ..StoreConfig::default()
         });
         for (_, schema) in sc.repository.iter() {
             repo.add(schema.clone());

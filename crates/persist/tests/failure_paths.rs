@@ -272,9 +272,9 @@ proptest! {
             ..Default::default()
         });
         let mut repo = Repository::with_store_config(StoreConfig {
-            shards: 0,
             max_cached_rows: cap,
             batch_threads: 0,
+            ..StoreConfig::default()
         });
         for (_, schema) in sc.repository.iter() {
             repo.add(schema.clone());

@@ -151,9 +151,9 @@ fn spilled_then_faulted_rows_are_bitwise_equal_to_recompute() {
     let sc = scenario(404);
     // Twin repositories: one bounded with a spill file, one untouched.
     let mut spilling = Repository::with_store_config(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(2),
         batch_threads: 0,
+        ..StoreConfig::default()
     });
     let mut oracle = Repository::new();
     for (_, schema) in sc.repository.iter() {
@@ -207,9 +207,9 @@ fn spilled_then_faulted_rows_are_bitwise_equal_to_recompute() {
 fn spilled_rows_back_matchers_identically_under_pressure() {
     let sc = scenario(505);
     let mut bounded = Repository::with_store_config(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(1),
         batch_threads: 0,
+        ..StoreConfig::default()
     });
     for (_, schema) in sc.repository.iter() {
         bounded.add(schema.clone());
@@ -239,9 +239,9 @@ fn spill_survives_restart_next_to_a_snapshot() {
     // costs zero pair evaluations.
     let sc = scenario(606);
     let mut repo = Repository::with_store_config(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(1),
         batch_threads: 0,
+        ..StoreConfig::default()
     });
     for (_, schema) in sc.repository.iter() {
         repo.add(schema.clone());

@@ -76,9 +76,9 @@ fn bounded_with_faulty_spill(
     path: &PathBuf,
 ) -> (Repository, Arc<SpillFile>) {
     let mut repo = Repository::with_store_config(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(cap),
         batch_threads: 0,
+        ..StoreConfig::default()
     });
     for (_, schema) in source.iter() {
         repo.add(schema.clone());

@@ -67,15 +67,15 @@ pub(crate) struct BoundMemo {
 impl BoundMemo {
     /// The bound row of `query` against `filters` (the store's
     /// `n_labels`-long label list), and whether the memo already held
-    /// it. A miss runs the cheap pass once, memoises the row stamped
-    /// `stamp`, and evicts least-recently-used rows past `cap`.
+    /// it. A miss runs the cheap pass once and memoises the row stamped
+    /// `stamp`; the caller then bounds the memo with
+    /// [`shrink_to`](Self::shrink_to).
     pub(crate) fn row(
         &self,
         query: &str,
         filters: &FilterIndex,
         exact: impl FnOnce() -> Option<LabelId>,
         stamp: u64,
-        cap: usize,
     ) -> (Arc<RowData>, bool) {
         let n_labels = filters.len();
         if let Some(row) = self.rows.read().get(query) {
@@ -97,7 +97,6 @@ impl BoundMemo {
             last_used: AtomicU64::new(stamp),
         });
         self.rows.write().insert(query.to_owned(), Arc::clone(&row));
-        self.shrink_to(cap);
         (row, false)
     }
 
@@ -113,11 +112,9 @@ impl BoundMemo {
 
     /// Evict least-recently-used rows until at most `cap` remain.
     pub(crate) fn shrink_to(&self, cap: usize) {
-        let _ = evict_lru(
-            std::slice::from_mut(&mut self.rows.write()),
-            cap,
-            |row: &Arc<RowData>| row.last_used.load(Relaxed),
-        );
+        let _ = evict_lru(&mut self.rows.write(), cap, |row: &Arc<RowData>| {
+            row.last_used.load(Relaxed)
+        });
     }
 }
 

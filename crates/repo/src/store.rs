@@ -23,20 +23,16 @@
 //! columns are evaluated) the next time they are requested. Nothing is
 //! ever rebuilt from scratch.
 //!
-//! # Sharded caches
+//! # Locks and counters
 //!
-//! The row and partial-row caches are split into label-hash **shards**
-//! ([`StoreConfig::shards`]), each with its own lock and counter slice,
-//! so concurrent `score_rows` callers — parallel matchers, batch
-//! serving — stop serialising on one cache lock. Sharding is invisible
-//! to results: rows are keyed by query text, every query hashes to
-//! exactly one shard, and the LRU bound stays **global** — a bounded
-//! eviction pass locks all shards (in index order) and removes the
-//! globally least-recently-used rows, wherever they live, so a sharded
-//! bounded store keeps exactly the rows an unsharded one would.
-//! Unbounded stores never take a cross-shard lock on the hot path.
-//! Counters are merged per shard into one [`StoreCounters`] snapshot by
-//! the associative [`StoreCounters::merge`].
+//! The full-row cache and the partial-row map each sit behind one
+//! `RwLock`: hits take the shared lock, fills and evictions the
+//! exclusive one. With one map per kind, the LRU bound is global by
+//! construction — an eviction pass removes the least-recently-used
+//! entries of the whole map. Every work counter lives in one private
+//! block of atomics; the row-path counters move while the row lock is
+//! held and [`LabelStore::counters`] reads the block under the
+//! exclusive lock, so a snapshot never sees a lookup half-counted.
 //!
 //! # Mutability: remove / replace
 //!
@@ -158,18 +154,12 @@ use parking_lot::RwLock;
 use smx_text::{KernelVariant, LabelProfile, RowKernel};
 use smx_xml::Schema;
 use std::collections::HashMap;
-use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Pending batched sweeps smaller than this many (query, label) pairs
 /// stay single-threaded — scoped workers cost more than they save.
 const PARALLEL_SWEEP_MIN_PAIRS: usize = 1024;
-
-/// Upper bound on the shard count (`StoreConfig::shards` is clamped to
-/// it). Shard counts are rounded up to a power of two so the shard of a
-/// query is one hash-and-mask.
-const MAX_SHARDS: usize = 64;
 
 /// Work-stealing sweep granularity: each worker's share of the column
 /// axis is cut into this many tiles, so a worker that finishes early
@@ -214,13 +204,12 @@ pub struct StoreConfig {
     /// `0` means auto (available parallelism). Small sweeps stay
     /// single-threaded regardless.
     pub batch_threads: usize,
-    /// Label-hash shards the row/partial-row caches are split into, each
-    /// with its own lock and counters, so concurrent `score_rows` callers
-    /// stop serialising on one cache lock. `0` means auto (available
-    /// parallelism); any value is clamped to `MAX_SHARDS` (64) and rounded
-    /// up to a power of two. Sharding never changes results or the
-    /// global LRU policy — eviction still removes the globally
-    /// least-recently-used rows (see [`LabelStore`]'s module docs).
+    /// Ignored: the store has one lock per row map and no shards. The
+    /// field remains only because the request-level benchmark
+    /// (`reqbench/`) still builds `StoreConfig` literals that set it;
+    /// it goes once that benchmark stops. Leave it to
+    /// `..StoreConfig::default()`. [`LabelStore::config`] always
+    /// reports `0`.
     pub shards: usize,
 }
 
@@ -354,9 +343,6 @@ pub struct StoreState {
     pub max_cached_rows: Option<usize>,
     /// The store's sweep worker count ([`StoreConfig::batch_threads`]).
     pub batch_threads: usize,
-    /// The store's configured shard count ([`StoreConfig::shards`];
-    /// `0` = auto). Images exported before sharding decode as `0`.
-    pub shards: usize,
     /// The candidate-generation filter lanes, one entry per label in id
     /// order — `None` for images exported before the filter index
     /// existed (import then rebuilds the lanes from `labels`).
@@ -402,6 +388,10 @@ pub struct StoreCounters {
     /// sink, write error, retry cooldown). Each one is warm state lost
     /// to future recompute; 0 without a sink.
     pub row_spill_failures: u64,
+    /// Query slots served by [`LabelStore::score_rows_subset`] — the
+    /// candidate tier's lookups, which the full-row `row_*` counters
+    /// never see.
+    pub subset_lookups: u64,
     /// Candidate-subset columns served without kernel work — from a
     /// full cached row or an already-covered partial-row position
     /// ([`LabelStore::score_rows_subset`]).
@@ -426,39 +416,11 @@ pub struct StoreCounters {
     pub schema_replaces: u64,
 }
 
-impl StoreCounters {
-    /// Field-wise sum — the associative merge per-shard counter
-    /// snapshots are combined with ([`StoreCounters::default`] is the
-    /// identity). Each shard's fragment is internally consistent (taken
-    /// under that shard's exclusive lock), so the merged total preserves
-    /// `row_hits + row_misses == row_lookups`.
-    pub fn merge(self, other: StoreCounters) -> StoreCounters {
-        StoreCounters {
-            profile_builds: self.profile_builds + other.profile_builds,
-            pair_evals: self.pair_evals + other.pair_evals,
-            row_hits: self.row_hits + other.row_hits,
-            row_misses: self.row_misses + other.row_misses,
-            row_lookups: self.row_lookups + other.row_lookups,
-            row_evictions: self.row_evictions + other.row_evictions,
-            row_spills: self.row_spills + other.row_spills,
-            row_spill_recoveries: self.row_spill_recoveries + other.row_spill_recoveries,
-            row_spill_failures: self.row_spill_failures + other.row_spill_failures,
-            candidate_hits: self.candidate_hits + other.candidate_hits,
-            candidate_pruned: self.candidate_pruned + other.candidate_pruned,
-            partial_row_fills: self.partial_row_fills + other.partial_row_fills,
-            bound_row_hits: self.bound_row_hits + other.bound_row_hits,
-            bound_row_builds: self.bound_row_builds + other.bound_row_builds,
-            schema_removes: self.schema_removes + other.schema_removes,
-            schema_replaces: self.schema_replaces + other.schema_replaces,
-        }
-    }
-}
-
 impl std::fmt::Display for StoreCounters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "store counters: {} lookups ({} hits, {} misses), {} pair evals, {} profiles built",
+            "store counters: {} row lookups ({} hits, {} misses), {} pair evals, {} profiles built",
             self.row_lookups, self.row_hits, self.row_misses, self.pair_evals, self.profile_builds
         )?;
         writeln!(
@@ -468,8 +430,8 @@ impl std::fmt::Display for StoreCounters {
         )?;
         writeln!(
             f,
-            "  candidate tier: {} column hits, {} columns pruned, {} partial fills",
-            self.candidate_hits, self.candidate_pruned, self.partial_row_fills
+            "  candidate tier: {} subset lookups, {} column hits, {} columns pruned, {} partial fills",
+            self.subset_lookups, self.candidate_hits, self.candidate_pruned, self.partial_row_fills
         )?;
         writeln!(
             f,
@@ -484,40 +446,28 @@ impl std::fmt::Display for StoreCounters {
     }
 }
 
-/// Remove the globally least-recently-used entries across `maps` until
-/// they hold at most `cap` entries in total, returning
-/// `(map index, key, entry)` per victim. Full rows, partial rows, and
-/// memoised bound rows are all stamped from the store's one recency
-/// clock; `last_used` reads an entry's stamp. One stamp scan plus one
-/// partial sort of the victims, so tightening the bound on a large live
-/// cache stays `O(len log len)`.
-pub(crate) fn evict_lru<V, M: DerefMut<Target = HashMap<String, V>>>(
-    maps: &mut [M],
+/// Remove the least-recently-used entries of `map` until it holds at
+/// most `cap`, returning the `(key, entry)` victims. Full rows, partial
+/// rows, and memoised bound rows are all stamped from the store's one
+/// recency clock; `last_used` reads an entry's stamp. One stamp scan
+/// plus one partial sort of the victims, so tightening the bound on a
+/// large live cache stays `O(len log len)`.
+pub(crate) fn evict_lru<V>(
+    map: &mut HashMap<String, V>,
     cap: usize,
     last_used: impl Fn(&V) -> u64,
-) -> Vec<(usize, String, V)> {
-    let total: usize = maps.iter().map(|m| m.len()).sum();
-    let Some(excess) = total.checked_sub(cap).filter(|&e| e > 0) else {
+) -> Vec<(String, V)> {
+    let Some(excess) = map.len().checked_sub(cap).filter(|&e| e > 0) else {
         return Vec::new();
     };
-    let last_used = &last_used;
-    let mut stamps: Vec<(u64, usize, String)> = maps
+    let mut stamps: Vec<(u64, String)> = map
         .iter()
-        .enumerate()
-        .flat_map(|(i, map)| {
-            map.iter()
-                .map(move |(key, entry)| (last_used(entry), i, key.clone()))
-        })
+        .map(|(key, entry)| (last_used(entry), key.clone()))
         .collect();
     stamps.select_nth_unstable(excess - 1);
     stamps[..excess]
         .iter()
-        .map(|(_, i, key)| {
-            let (key, entry) = maps[*i]
-                .remove_entry(key)
-                .expect("victim key came from the map");
-            (*i, key, entry)
-        })
+        .map(|(_, key)| map.remove_entry(key).expect("victim key came from the map"))
         .collect()
 }
 
@@ -569,38 +519,13 @@ fn bit_set(bits: &mut [u64], i: usize) {
     bits[i / 64] |= 1u64 << (i % 64);
 }
 
-/// One label-hash shard of the row/partial-row caches: its slice of the
-/// two maps plus the counters whose lock-consistency invariant is
-/// per-shard (`row_hits + row_misses == row_lookups` holds within every
-/// shard, so it holds for the merged snapshot too).
-struct Shard {
-    /// Query label → distances to the first `row.len()` stored labels,
-    /// for queries hashing to this shard.
-    rows: RwLock<HashMap<String, CachedRow>>,
-    /// Query label → coverage-masked partial row (candidate subsets),
-    /// same hash split as `rows`.
-    partial_rows: RwLock<HashMap<String, PartialRow>>,
-    /// This shard's slice of the row/candidate work counters; updated
-    /// under this shard's locks, merged by [`LabelStore::counters`].
-    counters: ShardCounters,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            rows: RwLock::new(HashMap::new()),
-            partial_rows: RwLock::new(HashMap::new()),
-            counters: ShardCounters::default(),
-        }
-    }
-}
-
-/// The per-shard slice of [`StoreCounters`] — every counter whose
-/// paired-update consistency is guaranteed by a shard's own lock.
-/// Store-global counters (`pair_evals`, `profile_builds`, mutation
-/// counts) stay on [`LabelStore`] itself.
+/// The store's work counters: one atomic per [`StoreCounters`] field.
+/// Row-path counters move while the row lock is held, which is what
+/// lets [`LabelStore::counters`] take a consistent snapshot.
 #[derive(Default)]
-struct ShardCounters {
+struct Counters {
+    profile_builds: AtomicU64,
+    pair_evals: AtomicU64,
     row_hits: AtomicU64,
     row_misses: AtomicU64,
     row_lookups: AtomicU64,
@@ -608,36 +533,22 @@ struct ShardCounters {
     row_spills: AtomicU64,
     row_spill_recoveries: AtomicU64,
     row_spill_failures: AtomicU64,
+    subset_lookups: AtomicU64,
     candidate_hits: AtomicU64,
     candidate_pruned: AtomicU64,
     partial_row_fills: AtomicU64,
+    bound_row_hits: AtomicU64,
+    bound_row_builds: AtomicU64,
+    schema_removes: AtomicU64,
+    schema_replaces: AtomicU64,
 }
 
-impl ShardCounters {
-    /// Relaxed-load snapshot as a [`StoreCounters`] fragment. Callers
-    /// hold the shard's exclusive row lock, so the paired
-    /// hit/miss/lookup increments cannot be observed split.
-    fn snapshot(&self) -> StoreCounters {
-        StoreCounters {
-            row_hits: self.row_hits.load(Relaxed),
-            row_misses: self.row_misses.load(Relaxed),
-            row_lookups: self.row_lookups.load(Relaxed),
-            row_evictions: self.row_evictions.load(Relaxed),
-            row_spills: self.row_spills.load(Relaxed),
-            row_spill_recoveries: self.row_spill_recoveries.load(Relaxed),
-            row_spill_failures: self.row_spill_failures.load(Relaxed),
-            candidate_hits: self.candidate_hits.load(Relaxed),
-            candidate_pruned: self.candidate_pruned.load(Relaxed),
-            partial_row_fills: self.partial_row_fills.load(Relaxed),
-            ..StoreCounters::default()
-        }
-    }
-
-    /// A detached copy with the same counts (for [`LabelStore`]'s
-    /// `Clone`).
-    fn detach(&self) -> ShardCounters {
-        let c = self.snapshot();
-        ShardCounters {
+impl Counters {
+    /// A block starting from the counts in `c`.
+    fn new(c: StoreCounters) -> Counters {
+        Counters {
+            profile_builds: AtomicU64::new(c.profile_builds),
+            pair_evals: AtomicU64::new(c.pair_evals),
             row_hits: AtomicU64::new(c.row_hits),
             row_misses: AtomicU64::new(c.row_misses),
             row_lookups: AtomicU64::new(c.row_lookups),
@@ -645,9 +556,38 @@ impl ShardCounters {
             row_spills: AtomicU64::new(c.row_spills),
             row_spill_recoveries: AtomicU64::new(c.row_spill_recoveries),
             row_spill_failures: AtomicU64::new(c.row_spill_failures),
+            subset_lookups: AtomicU64::new(c.subset_lookups),
             candidate_hits: AtomicU64::new(c.candidate_hits),
             candidate_pruned: AtomicU64::new(c.candidate_pruned),
             partial_row_fills: AtomicU64::new(c.partial_row_fills),
+            bound_row_hits: AtomicU64::new(c.bound_row_hits),
+            bound_row_builds: AtomicU64::new(c.bound_row_builds),
+            schema_removes: AtomicU64::new(c.schema_removes),
+            schema_replaces: AtomicU64::new(c.schema_replaces),
+        }
+    }
+
+    /// Relaxed-load snapshot. The paired hit/miss/lookup increments are
+    /// seen whole only while the caller holds the exclusive row lock.
+    fn snapshot(&self) -> StoreCounters {
+        StoreCounters {
+            profile_builds: self.profile_builds.load(Relaxed),
+            pair_evals: self.pair_evals.load(Relaxed),
+            row_hits: self.row_hits.load(Relaxed),
+            row_misses: self.row_misses.load(Relaxed),
+            row_lookups: self.row_lookups.load(Relaxed),
+            row_evictions: self.row_evictions.load(Relaxed),
+            row_spills: self.row_spills.load(Relaxed),
+            row_spill_recoveries: self.row_spill_recoveries.load(Relaxed),
+            row_spill_failures: self.row_spill_failures.load(Relaxed),
+            subset_lookups: self.subset_lookups.load(Relaxed),
+            candidate_hits: self.candidate_hits.load(Relaxed),
+            candidate_pruned: self.candidate_pruned.load(Relaxed),
+            partial_row_fills: self.partial_row_fills.load(Relaxed),
+            bound_row_hits: self.bound_row_hits.load(Relaxed),
+            bound_row_builds: self.bound_row_builds.load(Relaxed),
+            schema_removes: self.schema_removes.load(Relaxed),
+            schema_replaces: self.schema_replaces.load(Relaxed),
         }
     }
 }
@@ -673,18 +613,6 @@ struct SubsetStats {
     candidate_hits: u64,
     /// Kernel pair evaluations this call ran.
     pair_evals: u64,
-}
-
-/// Resolve a configured shard count: `0` means auto (available
-/// parallelism), everything is clamped to [`MAX_SHARDS`] and rounded up
-/// to a power of two so shard lookup is one hash-and-mask.
-fn resolve_shard_count(configured: usize) -> usize {
-    let want = if configured == 0 {
-        std::thread::available_parallelism().map_or(1, |t| t.get())
-    } else {
-        configured
-    };
-    want.clamp(1, MAX_SHARDS).next_power_of_two()
 }
 
 /// Interner, per-label profiles, token index, and cached score rows for
@@ -722,23 +650,18 @@ pub struct LabelStore {
     /// cache per-schema derived state can compare generations instead of
     /// diffing schema contents.
     generations: Vec<u64>,
-    /// The label-hash shards of the row/partial-row caches (always a
-    /// power-of-two count ≥ 1). Rows are append-consistent: label ids
-    /// are stable, so a short row is a valid prefix and only its tail
-    /// needs computing after adds. Partials are strictly separate from
-    /// full rows: they never serve full-row requests.
-    shards: Box<[Shard]>,
-    /// The *configured* shard count (`0` = auto), reported by
-    /// [`config`](Self::config); `shards.len()` is the resolved count.
-    config_shards: usize,
+    /// Query label → distances to the first `row.len()` stored labels.
+    /// Rows are append-consistent: label ids are stable, so a short row
+    /// is a valid prefix and only its tail needs computing after adds.
+    rows: RwLock<HashMap<String, CachedRow>>,
+    /// Query label → coverage-masked partial row (candidate subsets).
+    /// Strictly separate from `rows`: partials never serve full-row
+    /// requests.
+    partial_rows: RwLock<HashMap<String, PartialRow>>,
     /// Memoised candidate-tier bound rows ([`Self::bound_row`]). Shared
     /// by clones; replaced by a fresh memo whenever ingest interns new
     /// labels, so every row in it matches this store's label list.
     bound_memo: Arc<BoundMemo>,
-    /// Bound rows served from the memo.
-    bound_row_hits: AtomicU64,
-    /// Bound rows built on a memo miss.
-    bound_row_builds: AtomicU64,
     /// Monotonic recency clock for the LRU stamps.
     clock: AtomicU64,
     /// LRU bound on `rows` (`UNBOUNDED` = no bound). Atomic so tests and
@@ -749,15 +672,8 @@ pub struct LabelStore {
     /// Where evicted rows go instead of the void ([`EvictionSink`]);
     /// consulted on misses before sweeping. Shared across clones.
     sink: RwLock<Option<Arc<dyn EvictionSink>>>,
-    /// How many label profiles were ever built (label-level work).
-    profile_builds: AtomicU64,
-    /// How many (query, label) kernel evaluations were ever run
-    /// (pair-level work). Repeated queries must not move this.
-    pair_evals: AtomicU64,
-    /// Schemas removed ([`Self::remove_schema`]).
-    schema_removes: AtomicU64,
-    /// Schemas replaced in place ([`Self::reingest_schema`]).
-    schema_replaces: AtomicU64,
+    /// The work counters behind [`Self::counters`].
+    counters: Counters,
     /// Salvage events recorded when this store was loaded from a
     /// damaged snapshot (see `smx-persist`'s `RecoveryPolicy::Salvage`).
     salvage_events: AtomicU64,
@@ -778,10 +694,8 @@ impl LabelStore {
         LabelStore::with_config(StoreConfig::default())
     }
 
-    /// An empty store with an explicit cache bound / sweep / shard
-    /// configuration.
+    /// An empty store with an explicit cache bound / sweep configuration.
     pub fn with_config(config: StoreConfig) -> Self {
-        let shard_count = resolve_shard_count(config.shards);
         LabelStore {
             interner: LabelInterner::new(),
             profiles: Vec::new(),
@@ -792,46 +706,27 @@ impl LabelStore {
             filters: FilterIndex::new(),
             removed: Vec::new(),
             generations: Vec::new(),
-            shards: (0..shard_count).map(|_| Shard::new()).collect(),
-            config_shards: config.shards,
+            rows: RwLock::default(),
+            partial_rows: RwLock::default(),
             bound_memo: Arc::default(),
-            bound_row_hits: AtomicU64::new(0),
-            bound_row_builds: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             max_cached_rows: AtomicUsize::new(config.max_cached_rows.unwrap_or(UNBOUNDED)),
             batch_threads: config.batch_threads,
             sink: RwLock::new(None),
-            profile_builds: AtomicU64::new(0),
-            pair_evals: AtomicU64::new(0),
-            schema_removes: AtomicU64::new(0),
-            schema_replaces: AtomicU64::new(0),
+            counters: Counters::default(),
             salvage_events: AtomicU64::new(0),
         }
     }
 
-    /// The store's current configuration. Reports the *configured*
-    /// shard count (`0` for auto); [`shard_count`](Self::shard_count)
-    /// is the resolved one.
+    /// The store's current configuration (`shards` is always `0`: the
+    /// field is ignored).
     pub fn config(&self) -> StoreConfig {
         let cap = self.max_cached_rows.load(Relaxed);
         StoreConfig {
             max_cached_rows: (cap != UNBOUNDED).then_some(cap),
             batch_threads: self.batch_threads,
-            shards: self.config_shards,
+            ..StoreConfig::default()
         }
-    }
-
-    /// The resolved number of label-hash cache shards (a power of two,
-    /// ≥ 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard `query`'s rows hash to.
-    #[inline]
-    fn shard_of(&self, query: &str) -> &Shard {
-        let h = fnv_extend(FNV_OFFSET, query.as_bytes());
-        &self.shards[h as usize & (self.shards.len() - 1)]
     }
 
     /// Change the LRU bound on a live store, evicting immediately if the
@@ -840,7 +735,7 @@ impl LabelStore {
     pub fn set_max_cached_rows(&self, max: Option<usize>) {
         let cap = max.unwrap_or(UNBOUNDED);
         self.max_cached_rows.store(cap, Relaxed);
-        let victims = self.evict_over_cap_global();
+        let victims = self.evict_rows_over_cap();
         self.spill_victims(victims);
         self.evict_partials_over_cap();
         self.bound_memo.shrink_to(cap);
@@ -898,7 +793,8 @@ impl LabelStore {
                 .expect("offset basis always present");
             self.prefix_hashes.push(fingerprint_push(last, label));
         }
-        self.profile_builds
+        self.counters
+            .profile_builds
             .fetch_add((self.interner.len() - known) as u64, Relaxed);
         self.label_schemas
             .resize_with(self.interner.len(), Vec::new);
@@ -928,7 +824,7 @@ impl LabelStore {
         }
         self.index.remove_schema(sid, schema);
         self.generations[sid.index()] += 1;
-        self.schema_removes.fetch_add(1, Relaxed);
+        self.counters.schema_removes.fetch_add(1, Relaxed);
         if smx_obs::enabled() {
             smx_obs::registry().counter("store.schema_removes").inc();
         }
@@ -981,7 +877,7 @@ impl LabelStore {
         self.index.insert_schema_sorted(sid, schema);
         self.removed[sid.index()] = false;
         self.generations[sid.index()] += 1;
-        self.schema_replaces.fetch_add(1, Relaxed);
+        self.counters.schema_replaces.fetch_add(1, Relaxed);
         if smx_obs::enabled() {
             smx_obs::registry().counter("store.schema_replaces").inc();
         }
@@ -1101,20 +997,22 @@ impl LabelStore {
     /// [`bound_rows`](crate::bound_rows)). Counted as
     /// `bound_row_hits` / `bound_row_builds` in [`StoreCounters`].
     pub fn bound_row(&self, query: &str) -> BoundRow<'_> {
-        let cap = self.max_cached_rows.load(Relaxed);
         let entry = self.bound_memo.row(
             query,
             &self.filters,
             || self.interner.get(query),
             self.tick(),
-            cap,
         );
-        let counter = if entry.1 {
-            &self.bound_row_hits
+        if entry.1 {
+            self.counters.bound_row_hits.fetch_add(1, Relaxed);
         } else {
-            &self.bound_row_builds
-        };
-        counter.fetch_add(1, Relaxed);
+            self.counters.bound_row_builds.fetch_add(1, Relaxed);
+            // The bound is read after the insert, so a concurrent
+            // `set_max_cached_rows` tightening either sees the new row or
+            // is seen here: the memo never stays above the final bound.
+            self.bound_memo
+                .shrink_to(self.max_cached_rows.load(Relaxed));
+        }
         BoundRow::new(entry, &self.filters, &self.profiles)
     }
 
@@ -1173,9 +1071,9 @@ impl LabelStore {
         self.score_rows_core(queries).0
     }
 
-    /// Shared body of the `score_rows` entry points: serve hits from
-    /// each query's shard under that shard's read lock, sweep the rest.
-    /// Returns the rows plus this call's exact work stats.
+    /// Shared body of the `score_rows` entry points: serve hits under
+    /// the row cache's read lock, sweep the rest. Returns the rows plus
+    /// this call's exact work stats.
     fn score_rows_core(&self, queries: &[&str]) -> (Vec<Arc<Vec<f64>>>, SweepStats) {
         let n = self.profiles.len();
         let mut out: Vec<Option<Arc<Vec<f64>>>> = vec![None; queries.len()];
@@ -1186,13 +1084,12 @@ impl LabelStore {
                 pending[pi].slots.push(i);
                 continue;
             }
-            let shard = self.shard_of(q);
-            let cache = shard.rows.read();
+            let cache = self.rows.read();
             match cache.get(q) {
                 Some(entry) if entry.row.len() == n => {
                     entry.last_used.store(self.tick(), Relaxed);
-                    shard.counters.row_lookups.fetch_add(1, Relaxed);
-                    shard.counters.row_hits.fetch_add(1, Relaxed);
+                    self.counters.row_lookups.fetch_add(1, Relaxed);
+                    self.counters.row_hits.fetch_add(1, Relaxed);
                     out[i] = Some(Arc::clone(&entry.row));
                 }
                 stale => {
@@ -1237,8 +1134,8 @@ impl LabelStore {
     /// promoted into the full-row cache, never spilled, and the
     /// full-row path never consults them, keeping every existing
     /// full-row counter invariant intact. Subset traffic moves only
-    /// `pair_evals`, `candidate_hits`, `candidate_pruned`, and
-    /// `partial_row_fills`.
+    /// `pair_evals`, `subset_lookups`, `candidate_hits`,
+    /// `candidate_pruned`, and `partial_row_fills`.
     pub fn score_rows_subset(&self, queries: &[&str], cols: &[usize]) -> Vec<Arc<Vec<f64>>> {
         if !smx_obs::enabled() {
             return self.score_rows_subset_core(queries, cols).0;
@@ -1264,6 +1161,9 @@ impl LabelStore {
     ) -> (Vec<Arc<Vec<f64>>>, SubsetStats) {
         let n = self.profiles.len();
         debug_assert!(cols.iter().all(|&c| c < n), "columns must be in range");
+        self.counters
+            .subset_lookups
+            .fetch_add(queries.len() as u64, Relaxed);
         let mut stats = SubsetStats::default();
         let mut out: Vec<Option<Arc<Vec<f64>>>> = vec![None; queries.len()];
         let mut pending: Vec<(&str, Vec<usize>)> = Vec::new();
@@ -1273,15 +1173,13 @@ impl LabelStore {
                 pending[pi].1.push(i);
                 continue;
             }
-            let shard = self.shard_of(q);
-            let cache = shard.rows.read();
+            let cache = self.rows.read();
             match cache.get(q) {
                 Some(entry) if entry.row.len() == n => {
                     // A full row serves any subset; refresh recency
                     // so subset traffic keeps hot rows hot.
                     entry.last_used.store(self.tick(), Relaxed);
-                    shard
-                        .counters
+                    self.counters
                         .candidate_hits
                         .fetch_add(cols.len() as u64, Relaxed);
                     stats.candidate_hits += cols.len() as u64;
@@ -1294,13 +1192,12 @@ impl LabelStore {
             }
         }
         for (q, slots) in pending {
-            let shard = self.shard_of(q);
             // Snapshot what the partial row already covers, compute the
             // missing columns outside any lock (concurrent fills compute
             // identical values, so last-write-wins merging is safe),
             // then merge under the write lock.
             let (prior, covered): (Option<Arc<Vec<f64>>>, Vec<bool>) = {
-                let partials = shard.partial_rows.read();
+                let partials = self.partial_rows.read();
                 match partials.get(q) {
                     Some(p) => {
                         p.last_used.store(self.tick(), Relaxed);
@@ -1314,22 +1211,15 @@ impl LabelStore {
                     None => (None, vec![false; cols.len()]),
                 }
             };
-            let missing: Vec<usize> = cols
-                .iter()
-                .zip(&covered)
-                .filter(|&(_, &hit)| !hit)
-                .map(|(&c, _)| c)
-                .collect();
-            shard
-                .counters
+            let missing = covered.iter().filter(|&&hit| !hit).count();
+            self.counters
                 .candidate_hits
-                .fetch_add((cols.len() - missing.len()) as u64, Relaxed);
-            stats.candidate_hits += (cols.len() - missing.len()) as u64;
-            shard
-                .counters
+                .fetch_add((cols.len() - missing) as u64, Relaxed);
+            stats.candidate_hits += (cols.len() - missing) as u64;
+            self.counters
                 .candidate_pruned
                 .fetch_add((n - cols.len()) as u64, Relaxed);
-            if missing.is_empty() {
+            if missing == 0 {
                 // `cols` may itself be empty (a fully pruned problem
                 // still fills its zero-column matrix): any row serves
                 // an empty subset, including one that was never filled.
@@ -1339,16 +1229,23 @@ impl LabelStore {
                 }
                 continue;
             }
+            // Covered columns are merged back too, not just computed
+            // ones: an eviction or `clear_rows` between the snapshot and
+            // the merge may have dropped the partial row they came from.
             let kernel = RowKernel::new(q);
-            let values: Vec<f64> = missing
+            let values: Vec<f64> = cols
                 .iter()
-                .map(|&c| kernel.distance(&self.profiles[c]))
+                .zip(&covered)
+                .map(|(&c, &hit)| match &prior {
+                    Some(prior) if hit => prior[c],
+                    _ => kernel.distance(&self.profiles[c]),
+                })
                 .collect();
-            self.pair_evals.fetch_add(missing.len() as u64, Relaxed);
-            stats.pair_evals += missing.len() as u64;
-            shard.counters.partial_row_fills.fetch_add(1, Relaxed);
+            self.counters.pair_evals.fetch_add(missing as u64, Relaxed);
+            stats.pair_evals += missing as u64;
+            self.counters.partial_row_fills.fetch_add(1, Relaxed);
             let row = {
-                let mut partials = shard.partial_rows.write();
+                let mut partials = self.partial_rows.write();
                 let entry = partials.entry(q.to_owned()).or_insert_with(|| PartialRow {
                     row: Arc::new(Vec::new()),
                     coverage: Vec::new(),
@@ -1363,7 +1260,7 @@ impl LabelStore {
                 if entry.coverage.len() < words {
                     entry.coverage.resize(words, 0);
                 }
-                for (&c, &v) in missing.iter().zip(&values) {
+                for (&c, &v) in cols.iter().zip(&values) {
                     vec[c] = v;
                     bit_set(&mut entry.coverage, c);
                 }
@@ -1384,14 +1281,14 @@ impl LabelStore {
         )
     }
 
-    /// Sweep all pending rows and install each into its query's shard
-    /// (under that shard's write lock), updating counters and then
-    /// evicting past the LRU bound with one global pass. Rows absent
-    /// from memory are first offered to the eviction sink: a spilled row
-    /// faults back in as a (possibly complete) prefix, so only the tail
-    /// the store grew since the spill — often nothing — is recomputed.
+    /// Sweep all pending rows and install each into the row cache
+    /// (under its write lock), updating counters and then evicting past
+    /// the LRU bound. Rows absent from memory are first offered to the
+    /// eviction sink: a spilled row faults back in as a (possibly
+    /// complete) prefix, so only the tail the store grew since the
+    /// spill — often nothing — is recomputed.
     /// All sink I/O and evicted-row spilling happens outside the cache
-    /// locks. Returns this call's exact work stats.
+    /// lock. Returns this call's exact work stats.
     fn fill_pending(
         &self,
         out: &mut [Option<Arc<Vec<f64>>>],
@@ -1428,7 +1325,7 @@ impl LabelStore {
             .collect();
         let tails = self.sweep(&kernels, n);
         let computed: u64 = kernels.iter().map(|&(_, start)| (n - start) as u64).sum();
-        self.pair_evals.fetch_add(computed, Relaxed);
+        self.counters.pair_evals.fetch_add(computed, Relaxed);
         for ((p, rec), tail) in pending.iter().zip(&recovered).zip(tails) {
             let row = match &p.prefix {
                 // A complete prefix (recovered or cached) is reused
@@ -1446,23 +1343,20 @@ impl LabelStore {
             for &slot in &p.slots {
                 out[slot] = Some(Arc::clone(&row));
             }
-            let shard = self.shard_of(p.query);
-            let mut cache = shard.rows.write();
+            let mut cache = self.rows.write();
             // One miss per row not served from memory; batch-internal
             // duplicates were served from the in-flight row and count
-            // as hits. Counted under the shard's write lock so the
-            // per-shard hit/miss/lookup invariant can't be seen split.
-            shard
-                .counters
+            // as hits. Counted under the write lock so the
+            // hit/miss/lookup invariant can't be seen split.
+            self.counters
                 .row_lookups
                 .fetch_add(p.slots.len() as u64, Relaxed);
-            shard.counters.row_misses.fetch_add(1, Relaxed);
-            shard
-                .counters
+            self.counters.row_misses.fetch_add(1, Relaxed);
+            self.counters
                 .row_hits
                 .fetch_add(p.slots.len() as u64 - 1, Relaxed);
             if *rec {
-                shard.counters.row_spill_recoveries.fetch_add(1, Relaxed);
+                self.counters.row_spill_recoveries.fetch_add(1, Relaxed);
                 if smx_obs::enabled() {
                     smx_obs::registry().counter("store.spill_recoveries").inc();
                 }
@@ -1475,7 +1369,7 @@ impl LabelStore {
                 },
             );
         }
-        let victims = self.evict_over_cap_global();
+        let victims = self.evict_rows_over_cap();
         self.spill_victims(victims);
         SweepStats {
             rows_swept: pending.len() as u64,
@@ -1603,36 +1497,24 @@ impl LabelStore {
         self.clock.fetch_add(1, Relaxed) + 1
     }
 
-    /// Evict globally least-recently-used rows until the whole cache
-    /// respects the configured bound, returning `(shard, query, row)`
-    /// victims so the caller can hand them to the eviction sink *after*
-    /// the locks drop. Unbounded stores return immediately without
-    /// touching a single lock.
-    ///
-    /// Bounded stores acquire **every** shard's row lock in index order
-    /// — the store's one multi-lock order, shared with
-    /// [`counters`](Self::counters), `Clone`, and
-    /// [`export_state`](Self::export_state) — so the eviction decision
-    /// is exact across shards: the global LRU rows go, wherever they
-    /// live, and sharding never changes which rows a bounded cache
-    /// keeps. One stamp scan + one partial sort of the victims, so
-    /// tightening the bound on a large live cache stays
-    /// `O(len log len)`, not `O(len²)`.
+    /// Evict least-recently-used rows until the cache respects the
+    /// configured bound, returning `(query, row)` victims so the caller
+    /// can hand them to the eviction sink *after* the lock drops.
+    /// Unbounded stores return immediately without taking the lock.
     #[must_use = "victims must be offered to the eviction sink outside the lock"]
-    fn evict_over_cap_global(&self) -> Vec<(usize, String, Arc<Vec<f64>>)> {
+    fn evict_rows_over_cap(&self) -> Vec<(String, Arc<Vec<f64>>)> {
         let cap = self.max_cached_rows.load(Relaxed);
         if cap == UNBOUNDED {
             return Vec::new();
         }
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.rows.write()).collect();
-        let victims: Vec<_> =
-            evict_lru(&mut guards, cap, |e: &CachedRow| e.last_used.load(Relaxed))
-                .into_iter()
-                .map(|(si, key, entry)| {
-                    self.shards[si].counters.row_evictions.fetch_add(1, Relaxed);
-                    (si, key, entry.row)
-                })
-                .collect();
+        let mut rows = self.rows.write();
+        let victims: Vec<_> = evict_lru(&mut rows, cap, |e: &CachedRow| e.last_used.load(Relaxed))
+            .into_iter()
+            .map(|(key, entry)| (key, entry.row))
+            .collect();
+        self.counters
+            .row_evictions
+            .fetch_add(victims.len() as u64, Relaxed);
         if smx_obs::enabled() && !victims.is_empty() {
             smx_obs::registry()
                 .counter("store.row_evictions")
@@ -1641,23 +1523,22 @@ impl LabelStore {
         victims
     }
 
-    /// Evict globally least-recently-used partial rows past the bound,
-    /// under the same recency rule as full rows (all shards' partial
-    /// maps locked in index order). Partial rows are never spilled: a
+    /// Evict least-recently-used partial rows past the bound, under the
+    /// same recency rule as full rows. Partial rows are never spilled: a
     /// dropped one is recomputed column by column on next use.
     fn evict_partials_over_cap(&self) {
         let cap = self.max_cached_rows.load(Relaxed);
         if cap == UNBOUNDED {
             return;
         }
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.partial_rows.write()).collect();
-        let _ = evict_lru(&mut guards, cap, |e: &PartialRow| e.last_used.load(Relaxed));
+        let _ = evict_lru(&mut self.partial_rows.write(), cap, |e: &PartialRow| {
+            e.last_used.load(Relaxed)
+        });
     }
 
     /// Offer evicted rows to the installed sink (if any). Runs with no
-    /// cache lock held — sink I/O never blocks row lookups. Spill
-    /// outcomes are counted against each victim's own shard.
-    fn spill_victims(&self, victims: Vec<(usize, String, Arc<Vec<f64>>)>) {
+    /// cache lock held — sink I/O never blocks row lookups.
+    fn spill_victims(&self, victims: Vec<(String, Arc<Vec<f64>>)>) {
         if victims.is_empty() {
             return;
         }
@@ -1665,43 +1546,29 @@ impl LabelStore {
             return;
         };
         let mut spilled = 0u64;
-        for (si, query, row) in &victims {
-            let counters = &self.shards[*si].counters;
+        for (query, row) in &victims {
             if sink.on_evict(query, row.as_slice(), self.prefix_hashes[row.len()]) {
-                counters.row_spills.fetch_add(1, Relaxed);
                 spilled += 1;
-            } else {
-                counters.row_spill_failures.fetch_add(1, Relaxed);
             }
         }
+        let failed = victims.len() as u64 - spilled;
+        self.counters.row_spills.fetch_add(spilled, Relaxed);
+        self.counters.row_spill_failures.fetch_add(failed, Relaxed);
         if smx_obs::enabled() {
             let registry = smx_obs::registry();
             registry.counter("store.row_spills").add(spilled);
-            registry
-                .counter("store.row_spill_failures")
-                .add(victims.len() as u64 - spilled);
+            registry.counter("store.row_spill_failures").add(failed);
         }
     }
 
-    /// Number of query labels with a cached score row (summed over the
-    /// shards).
+    /// Number of query labels with a cached score row.
     pub fn cached_rows(&self) -> usize {
-        self.shards.iter().map(|s| s.rows.read().len()).sum()
+        self.rows.read().len()
     }
 
-    /// Number of cached score rows in shard `shard` (for per-shard
-    /// occupancy gauges; out-of-range shards hold 0 rows).
-    pub fn shard_cached_rows(&self, shard: usize) -> usize {
-        self.shards.get(shard).map_or(0, |s| s.rows.read().len())
-    }
-
-    /// Number of query labels with a coverage-masked partial row
-    /// (summed over the shards).
+    /// Number of query labels with a coverage-masked partial row.
     pub fn cached_partial_rows(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.partial_rows.read().len())
-            .sum()
+        self.partial_rows.read().len()
     }
 
     /// Number of memoised candidate-tier bound rows
@@ -1713,7 +1580,7 @@ impl LabelStore {
     /// Whether `query` currently has a cached (possibly stale-prefix)
     /// row. Read-only: does not refresh LRU recency or count a lookup.
     pub fn has_cached_row(&self, query: &str) -> bool {
-        self.shard_of(query).rows.read().contains_key(query)
+        self.rows.read().contains_key(query)
     }
 
     /// Drop every cached score row, every partial row, *and* every
@@ -1722,38 +1589,23 @@ impl LabelStore {
     /// bounds are both recomputed on next use. Affects every clone
     /// sharing the caches.
     pub fn clear_rows(&self) {
-        for shard in self.shards.iter() {
-            shard.rows.write().clear();
-            shard.partial_rows.write().clear();
-        }
+        self.rows.write().clear();
+        self.partial_rows.write().clear();
         self.bound_memo.clear();
     }
 
     /// A consistent snapshot of every work counter.
     ///
-    /// Each shard's counter fragment is read under that shard's
-    /// exclusive row lock, and all row-path counter updates happen while
-    /// the owning shard's lock is held (shared for hits, exclusive for
-    /// sweeps) — so no fragment can observe a lookup whose hit/miss
-    /// classification is still in flight, and the merged snapshot keeps
-    /// `row_hits + row_misses == row_lookups` even while parallel
+    /// Read under the exclusive row lock, and all row-path counter
+    /// updates happen while that lock is held (shared for hits,
+    /// exclusive for sweeps) — so the snapshot cannot observe a lookup
+    /// whose hit/miss classification is still in flight, and
+    /// `row_hits + row_misses == row_lookups` holds even while parallel
     /// matchers are filling rows. Tests should assert on this snapshot
     /// rather than on individual counter loads.
     pub fn counters(&self) -> StoreCounters {
-        let mut merged = StoreCounters {
-            profile_builds: self.profile_builds.load(Relaxed),
-            pair_evals: self.pair_evals.load(Relaxed),
-            schema_removes: self.schema_removes.load(Relaxed),
-            schema_replaces: self.schema_replaces.load(Relaxed),
-            bound_row_hits: self.bound_row_hits.load(Relaxed),
-            bound_row_builds: self.bound_row_builds.load(Relaxed),
-            ..StoreCounters::default()
-        };
-        for shard in self.shards.iter() {
-            let _guard = shard.rows.write();
-            merged = merged.merge(shard.counters.snapshot());
-        }
-        merged
+        let _rows = self.rows.write();
+        self.counters.snapshot()
     }
 
     /// One consolidated health/degradation view: the installed sink's
@@ -1774,7 +1626,7 @@ impl LabelStore {
     /// `smx-obs` metrics registry with this store's own instruments
     /// grafted in — monotonic counts ([`StoreCounters`], salvage
     /// events) as counters, occupancy (cached rows of each kind, live
-    /// schemas, orphaned labels, shards) and the installed sink's
+    /// schemas, orphaned labels) and the installed sink's
     /// [`SinkHealth`] as gauges. Store counts whose name a gated
     /// registry counter already uses carry a `_total` suffix. This is
     /// the `MetricsSnapshot` examples and `smx-bench` render — one
@@ -1794,6 +1646,7 @@ impl LabelStore {
             ("store.row_spills_total", c.row_spills),
             ("store.row_spill_recoveries_total", c.row_spill_recoveries),
             ("store.row_spill_failures_total", c.row_spill_failures),
+            ("store.subset_lookups", c.subset_lookups),
             ("store.candidate_hits", c.candidate_hits),
             ("store.candidate_pruned", c.candidate_pruned),
             ("store.partial_row_fills", c.partial_row_fills),
@@ -1813,13 +1666,6 @@ impl LabelStore {
         snapshot.set_gauge("store.cached_bound_rows", self.cached_bound_rows() as f64);
         snapshot.set_gauge("store.live_schemas", self.live_schema_count() as f64);
         snapshot.set_gauge("store.orphaned_labels", self.orphaned_labels() as f64);
-        snapshot.set_gauge("store.shards", self.shards.len() as f64);
-        for (si, shard) in self.shards.iter().enumerate() {
-            snapshot.set_gauge(
-                &format!("store.shard.{si}.cached_rows"),
-                shard.rows.read().len() as f64,
-            );
-        }
         if let Some(sink) = health.sink {
             snapshot.set_gauge("store.sink.poisoned", u64::from(sink.poisoned) as f64);
             snapshot.set_gauge("store.sink.degraded", u64::from(sink.degraded) as f64);
@@ -1854,26 +1700,21 @@ impl LabelStore {
     /// Work counters are *not* part of the image: they describe the
     /// process, not the repository.
     pub fn export_state(&self) -> StoreState {
-        // Snapshot (stamp, query, Arc) under the exclusive locks (all
-        // shards, index order — the store's one multi-lock order) —
-        // cheap — then sort and materialise the row copies after
-        // releasing them, so a large export doesn't stall concurrent
-        // matchers.
-        let mut rows: Vec<(u64, String, Arc<Vec<f64>>)> = {
-            let guards: Vec<_> = self.shards.iter().map(|s| s.rows.write()).collect();
-            guards
-                .iter()
-                .flat_map(|cache| {
-                    cache.iter().map(|(query, entry)| {
-                        (
-                            entry.last_used.load(Relaxed),
-                            query.clone(),
-                            Arc::clone(&entry.row),
-                        )
-                    })
-                })
-                .collect()
-        };
+        // Snapshot (stamp, query, Arc) under the exclusive lock — cheap —
+        // then sort and materialise the row copies after releasing it,
+        // so a large export doesn't stall concurrent matchers.
+        let mut rows: Vec<(u64, String, Arc<Vec<f64>>)> = self
+            .rows
+            .write()
+            .iter()
+            .map(|(query, entry)| {
+                (
+                    entry.last_used.load(Relaxed),
+                    query.clone(),
+                    Arc::clone(&entry.row),
+                )
+            })
+            .collect();
         // Oldest first (ties broken by query text so exports are
         // deterministic), so import can re-stamp in order.
         rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
@@ -1901,7 +1742,6 @@ impl LabelStore {
                 .collect(),
             max_cached_rows: self.config().max_cached_rows,
             batch_threads: self.batch_threads,
-            shards: self.config_shards,
             filters: Some(self.filters.export()),
             tombstones: Some(
                 self.removed
@@ -1993,13 +1833,11 @@ impl LabelStore {
         }
         let cap = state.max_cached_rows.unwrap_or(UNBOUNDED);
         let keep_from = state.rows.len().saturating_sub(cap);
-        let shard_count = resolve_shard_count(state.shards);
-        let shards: Box<[Shard]> = (0..shard_count).map(|_| Shard::new()).collect();
+        let mut rows = HashMap::new();
         let mut clock = 0u64;
         for (query, row) in state.rows.into_iter().skip(keep_from) {
             clock += 1;
-            let h = fnv_extend(FNV_OFFSET, query.as_bytes());
-            shards[h as usize & (shard_count - 1)].rows.write().insert(
+            rows.insert(
                 query,
                 CachedRow {
                     row: Arc::new(row),
@@ -2008,7 +1846,10 @@ impl LabelStore {
             );
         }
         LabelStore {
-            profile_builds: AtomicU64::new(profiles.len() as u64),
+            counters: Counters::new(StoreCounters {
+                profile_builds: profiles.len() as u64,
+                ..StoreCounters::default()
+            }),
             interner,
             profiles,
             prefix_hashes,
@@ -2018,31 +1859,26 @@ impl LabelStore {
             filters,
             removed,
             generations,
-            shards,
-            config_shards: state.shards,
+            rows: RwLock::new(rows),
+            partial_rows: RwLock::default(),
             bound_memo: Arc::default(),
-            bound_row_hits: AtomicU64::new(0),
-            bound_row_builds: AtomicU64::new(0),
             clock: AtomicU64::new(clock),
             max_cached_rows: AtomicUsize::new(cap),
             batch_threads: state.batch_threads,
             sink: RwLock::new(None),
-            pair_evals: AtomicU64::new(0),
-            schema_removes: AtomicU64::new(0),
-            schema_replaces: AtomicU64::new(0),
             salvage_events: AtomicU64::new(0),
         }
     }
 
     /// Total label profiles ever built — the label-level work counter.
     pub fn profile_builds(&self) -> u64 {
-        self.profile_builds.load(Relaxed)
+        self.counters.profile_builds.load(Relaxed)
     }
 
     /// Total (query, label) kernel evaluations ever run — the pair-level
     /// work counter the store-reuse tests assert on.
     pub fn pair_evals(&self) -> u64 {
-        self.pair_evals.load(Relaxed)
+        self.counters.pair_evals.load(Relaxed)
     }
 }
 
@@ -2054,23 +1890,14 @@ impl Default for LabelStore {
 
 impl Clone for LabelStore {
     fn clone(&self) -> Self {
-        // Hold every shard's exclusive lock (index order — the store's
-        // one multi-lock order) while snapshotting rows *and* counters:
-        // hit-path counter updates happen under the shared lock, so a
-        // read-lock clone could freeze `row_lookups` between a peer's
-        // paired increments and break the counters invariant.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.rows.write()).collect();
-        let shards: Box<[Shard]> = self
-            .shards
-            .iter()
-            .zip(&guards)
-            .map(|(shard, rows)| Shard {
-                rows: RwLock::new((**rows).clone()),
-                partial_rows: RwLock::new(shard.partial_rows.read().clone()),
-                counters: shard.counters.detach(),
-            })
-            .collect();
-        drop(guards);
+        // Hold the exclusive row lock while snapshotting rows *and*
+        // counters: hit-path counter updates happen under the shared
+        // lock, so a read-lock clone could freeze `row_lookups` between
+        // a peer's paired increments and break the counters invariant.
+        let (rows, counters) = {
+            let rows = self.rows.write();
+            ((*rows).clone(), Counters::new(self.counters.snapshot()))
+        };
         LabelStore {
             interner: self.interner.clone(),
             profiles: self.profiles.clone(),
@@ -2081,19 +1908,14 @@ impl Clone for LabelStore {
             filters: self.filters.clone(),
             removed: self.removed.clone(),
             generations: self.generations.clone(),
-            shards,
-            config_shards: self.config_shards,
+            rows: RwLock::new(rows),
+            partial_rows: RwLock::new(self.partial_rows.read().clone()),
             bound_memo: Arc::clone(&self.bound_memo),
-            bound_row_hits: AtomicU64::new(self.bound_row_hits.load(Relaxed)),
-            bound_row_builds: AtomicU64::new(self.bound_row_builds.load(Relaxed)),
             clock: AtomicU64::new(self.clock.load(Relaxed)),
             max_cached_rows: AtomicUsize::new(self.max_cached_rows.load(Relaxed)),
             batch_threads: self.batch_threads,
             sink: RwLock::new(self.sink.read().clone()),
-            profile_builds: AtomicU64::new(self.profile_builds.load(Relaxed)),
-            pair_evals: AtomicU64::new(self.pair_evals.load(Relaxed)),
-            schema_removes: AtomicU64::new(self.schema_removes.load(Relaxed)),
-            schema_replaces: AtomicU64::new(self.schema_replaces.load(Relaxed)),
+            counters,
             salvage_events: AtomicU64::new(self.salvage_events.load(Relaxed)),
         }
     }
@@ -2108,7 +1930,6 @@ impl std::fmt::Debug for LabelStore {
             .field("cached_rows", &self.cached_rows())
             .field("partial_rows", &self.cached_partial_rows())
             .field("bound_rows", &self.cached_bound_rows())
-            .field("shards", &self.shards.len())
             .field("config", &self.config())
             .field("kernel_variant", &KernelVariant::active())
             .field("counters", &self.counters())
@@ -2274,7 +2095,7 @@ mod tests {
             let mut r = Repository::with_store_config(StoreConfig {
                 max_cached_rows: None,
                 batch_threads: threads,
-                shards: 0,
+                ..StoreConfig::default()
             });
             let mut b = SchemaBuilder::new("wide").root("container");
             for i in 0..300 {
@@ -2312,6 +2133,7 @@ mod tests {
         let rows = store.score_rows_subset(&["orderTitle", "bookIsbn"], &cols);
         assert_eq!(store.pair_evals(), 2 * cols.len() as u64);
         let c = store.counters();
+        assert_eq!(c.subset_lookups, 2, "one subset lookup per query slot");
         assert_eq!(c.partial_row_fills, 2);
         assert_eq!(c.candidate_hits, 0);
         assert_eq!(c.candidate_pruned, 2 * (n - cols.len()) as u64);
@@ -2351,6 +2173,10 @@ mod tests {
         let sub = store.score_rows_subset(&["orderTitle"], &[1, 3]);
         assert_eq!(store.pair_evals(), evals);
         assert!(Arc::ptr_eq(&sub[0], &full));
+        // Subset lookups never count as row lookups: only the one
+        // `score_row` above did.
+        let c = store.counters();
+        assert_eq!((c.subset_lookups, c.row_lookups), (5, 1));
     }
 
     #[test]
@@ -2675,7 +2501,7 @@ mod tests {
         assert_eq!(c.pair_evals, 2 * store.len() as u64);
     }
 
-    /// A wider repository so queries actually spread across shards.
+    /// A wider repository: 24 leaf labels, plus 16 distinct queries.
     fn wide_repo(config: StoreConfig) -> (Repository, Vec<String>) {
         let mut r = Repository::with_store_config(config);
         let mut b = SchemaBuilder::new("wide").root("container");
@@ -2685,91 +2511,6 @@ mod tests {
         r.add(b.build());
         let queries: Vec<String> = (0..16).map(|i| format!("query{i}Label")).collect();
         (r, queries)
-    }
-
-    #[test]
-    fn shard_count_resolves_to_power_of_two() {
-        for (configured, expect) in [(1, 1), (2, 2), (3, 4), (5, 8), (16, 16), (64, 64)] {
-            let store = LabelStore::with_config(StoreConfig {
-                max_cached_rows: None,
-                batch_threads: 1,
-                shards: configured,
-            });
-            assert_eq!(store.shard_count(), expect, "configured {configured}");
-            // The *configured* value round-trips; only the live layout
-            // is resolved.
-            assert_eq!(store.config().shards, configured);
-        }
-        let auto = LabelStore::with_config(StoreConfig::default());
-        assert!(auto.shard_count().is_power_of_two());
-        assert!(auto.shard_count() <= MAX_SHARDS);
-        // Oversized requests clamp before rounding.
-        let huge = LabelStore::with_config(StoreConfig {
-            max_cached_rows: None,
-            batch_threads: 1,
-            shards: 1000,
-        });
-        assert_eq!(huge.shard_count(), MAX_SHARDS);
-    }
-
-    #[test]
-    fn sharded_store_matches_single_shard_bitwise_with_identical_counters() {
-        let config = |shards: usize| StoreConfig {
-            max_cached_rows: None,
-            batch_threads: 1,
-            shards,
-        };
-        let (single, queries) = wide_repo(config(1));
-        let (sharded, _) = wide_repo(config(8));
-        assert_eq!(sharded.store().shard_count(), 8);
-        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-        // Batched fill, then a full re-read (all hits), on both stores.
-        let a = single.store().score_rows(&refs);
-        let b = sharded.store().score_rows(&refs);
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!(ra.len(), rb.len());
-            for (x, y) in ra.iter().zip(rb.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        let _ = single.store().score_rows(&refs);
-        let _ = sharded.store().score_rows(&refs);
-        // Rows spread over several shards, yet the merged counters are
-        // identical to the single-lock store's.
-        let populated = (0..sharded.store().shard_count())
-            .filter(|&s| sharded.store().shard_cached_rows(s) > 0)
-            .count();
-        assert!(populated > 1, "16 queries landed in one shard");
-        let (ca, cb) = (single.store().counters(), sharded.store().counters());
-        assert_eq!(ca, cb);
-        assert_eq!(cb.row_lookups, 32);
-        assert_eq!(cb.row_misses, 16);
-        assert_eq!(cb.row_hits, 16);
-        assert_eq!(cb.row_hits + cb.row_misses, cb.row_lookups);
-        assert_eq!(single.store().cached_rows(), sharded.store().cached_rows());
-    }
-
-    #[test]
-    fn lru_eviction_is_globally_exact_across_shards() {
-        // The bound is a *global* LRU: with 8 shards and capacity 2,
-        // the globally least-recently-used row is evicted no matter
-        // which shard it lives in — same observable behaviour as the
-        // single-shard store.
-        let (r, _) = wide_repo(StoreConfig {
-            max_cached_rows: Some(2),
-            batch_threads: 1,
-            shards: 8,
-        });
-        let store = r.store();
-        let _ = store.score_row("alphaField");
-        let _ = store.score_row("betaField");
-        let _ = store.score_row("alphaField"); // refresh alpha
-        let _ = store.score_row("gammaField"); // must evict beta
-        assert_eq!(store.cached_rows(), 2);
-        assert!(store.has_cached_row("alphaField"));
-        assert!(store.has_cached_row("gammaField"));
-        assert!(!store.has_cached_row("betaField"));
-        assert_eq!(store.counters().row_evictions, 1);
     }
 
     #[test]
@@ -2987,7 +2728,7 @@ mod tests {
         let (r, queries) = wide_repo(StoreConfig {
             max_cached_rows: Some(3),
             batch_threads: 1,
-            shards: 4,
+            ..StoreConfig::default()
         });
         let store = r.store();
         for q in &queries {
@@ -3018,8 +2759,10 @@ mod tests {
         let store = r.store();
         store.score_row("title");
         store.bound_row("title");
+        store.score_rows_subset(&["title", "title"], &[0]);
         let snapshot = store.publish_metrics();
         let c = store.counters();
+        assert_eq!(c.subset_lookups, 2);
         for (name, value) in [
             ("store.profile_builds", c.profile_builds),
             ("store.pair_evals", c.pair_evals),
@@ -3030,6 +2773,7 @@ mod tests {
             ("store.row_spills_total", c.row_spills),
             ("store.row_spill_recoveries_total", c.row_spill_recoveries),
             ("store.row_spill_failures_total", c.row_spill_failures),
+            ("store.subset_lookups", c.subset_lookups),
             ("store.candidate_hits", c.candidate_hits),
             ("store.candidate_pruned", c.candidate_pruned),
             ("store.partial_row_fills", c.partial_row_fills),
@@ -3048,7 +2792,6 @@ mod tests {
             ("store.cached_bound_rows", 1.0),
             ("store.live_schemas", 2.0),
             ("store.orphaned_labels", 0.0),
-            ("store.shards", store.shard_count() as f64),
         ] {
             assert_eq!(snapshot.gauges.get(name), Some(&value), "gauge {name}");
             assert!(

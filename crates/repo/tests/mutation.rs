@@ -1,4 +1,4 @@
-//! Mutation edge cases for the sharded, mutable store: remove-then-readd
+//! Mutation edge cases for the bounded, mutable store: remove-then-readd
 //! with identical labels, replace under a bounded store with spilled
 //! rows, removal racing a concurrent batch sweep on a shared store, and
 //! a property test proving arbitrary mutation histories stay equivalent
@@ -142,9 +142,9 @@ impl EvictionSink for MemorySink {
 #[test]
 fn replace_under_bounded_store_recovers_spilled_rows() {
     let mut repo = small_repository(StoreConfig {
-        shards: 4,
         max_cached_rows: Some(1),
         batch_threads: 0,
+        ..StoreConfig::default()
     });
     let sink = Arc::new(MemorySink::default());
     repo.store().set_eviction_sink(Some(sink.clone()));
@@ -214,9 +214,9 @@ proptest! {
     #[test]
     fn mutation_histories_equal_fresh_rebuild(operations in ops(), cap in 1..4usize) {
         let mut repo = small_repository(StoreConfig {
-            shards: 8,
             max_cached_rows: Some(cap),
             batch_threads: 0,
+            ..StoreConfig::default()
         });
         let mut salt = 100usize;
         for op in &operations {
@@ -256,7 +256,7 @@ proptest! {
     /// Removal racing a concurrent batch sweep: reader threads sweep a
     /// clone sharing the owner's store `Arc` while the owner mutates
     /// (`Arc::make_mut` detaches the owner's store under the readers —
-    /// the all-shard-locking Clone path racing live shard sweeps).
+    /// the row-locking Clone path racing live sweeps).
     /// Readers must see their own frozen lineage bitwise-intact, and
     /// the owner must still equal a fresh rebuild afterwards.
     #[test]
@@ -265,9 +265,9 @@ proptest! {
         queries in proptest::collection::vec(pool_indices(), 4..16),
     ) {
         let mut owner = small_repository(StoreConfig {
-            shards: 8,
             max_cached_rows: Some(2),
             batch_threads: 0,
+            ..StoreConfig::default()
         });
         let mut salt = 500usize;
         for &i in &removals {
@@ -290,7 +290,7 @@ proptest! {
                 });
             }
             // Mutate while the sweeps run: the first mutation detaches
-            // the owner's store via the all-shard-locking Clone.
+            // the owner's store via the row-locking Clone.
             for (n, &i) in removals.iter().enumerate() {
                 let sid = SchemaId(((i + n) % owner.len()) as u32);
                 owner.remove_schema(sid);

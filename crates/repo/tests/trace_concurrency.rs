@@ -9,9 +9,10 @@
 //! Tracing state is process-global; tests serialize on [`TRACE_LOCK`]
 //! and restore the disabled state before returning.
 
-use smx_repo::StoreConfig;
+use smx_repo::{LabelId, StoreConfig};
 use smx_synth::strategies::{small_repository, LABEL_POOL};
-use std::sync::{Mutex, MutexGuard};
+use smx_text::NameSimilarity;
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -33,9 +34,9 @@ fn reset_tracing() {
 fn concurrent_sweeps_keep_registry_and_store_counters_in_lockstep() {
     let _guard = guard();
     let repo = small_repository(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(2),
         batch_threads: 0,
+        ..StoreConfig::default()
     });
 
     let before = repo.store().counters();
@@ -90,14 +91,14 @@ fn concurrent_sweeps_keep_registry_and_store_counters_in_lockstep() {
 /// computed (threaded through the core's per-call stats, not read back
 /// from the shared counters), so summing the attrs over every span must
 /// reproduce the store's counter deltas exactly — even with concurrent
-/// sweeps interleaving on a bounded sharded cache.
+/// sweeps interleaving on a bounded cache.
 #[test]
 fn concurrent_span_attrs_sum_exactly_to_counter_deltas() {
     let _guard = guard();
     let repo = small_repository(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(2),
         batch_threads: 0,
+        ..StoreConfig::default()
     });
 
     let evals_before = repo.store().pair_evals();
@@ -154,9 +155,9 @@ fn concurrent_span_attrs_sum_exactly_to_counter_deltas() {
 fn instrumented_wrapper_matches_baseline_bitwise() {
     let _guard = guard();
     let config = StoreConfig {
-        shards: 0,
         max_cached_rows: Some(3),
         batch_threads: 0,
+        ..StoreConfig::default()
     };
     let traced_repo = small_repository(config);
     let baseline_repo = small_repository(config);
@@ -190,4 +191,97 @@ fn instrumented_wrapper_matches_baseline_bitwise() {
         hist_after > hist_before,
         "traced sweep recorded no store.score_rows_ns observations"
     );
+}
+
+/// Every caller shares the store's one row lock, one partial-row lock
+/// and one bound-row memo. Four threads, released together, mix full
+/// rows, subsets over two different column sets, and bound rows on a
+/// cache bounded at 2, while one thread tightens the bound to 1
+/// midway. Afterwards every value a thread received equals the scalar
+/// oracle bitwise, every cache kind holds at most the final bound, and
+/// the lookup counters add up.
+#[test]
+fn mixed_callers_on_one_lock_stay_exact_and_bounded() {
+    let _guard = guard();
+    let repo = small_repository(StoreConfig {
+        max_cached_rows: Some(2),
+        ..StoreConfig::default()
+    });
+    let store = repo.store();
+    let n = store.len();
+    let evens: Vec<usize> = (0..n).step_by(2).collect();
+    let thirds: Vec<usize> = (1..n).step_by(3).collect();
+    let start = Barrier::new(4);
+    let midway = Barrier::new(4);
+    // (query, served columns — `None` for a full row, the row)
+    type Received = Vec<(&'static str, Option<Vec<usize>>, Arc<Vec<f64>>)>;
+    let results: Vec<(Received, u64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4usize)
+            .map(|t| {
+                let (evens, thirds) = (&evens, &thirds);
+                let (start, midway) = (&start, &midway);
+                scope.spawn(move || {
+                    let mut got: Received = Vec::new();
+                    let mut subset_calls = 0u64;
+                    start.wait();
+                    for round in 0..4usize {
+                        if round == 2 {
+                            midway.wait();
+                            if t == 0 {
+                                store.set_max_cached_rows(Some(1));
+                            }
+                        }
+                        for (i, &query) in LABEL_POOL.iter().enumerate() {
+                            let cols = match (i + t + round) % 4 {
+                                0 => None,
+                                1 => Some(evens),
+                                2 => Some(thirds),
+                                _ => {
+                                    assert_eq!(store.bound_row(query).cheap().len(), n);
+                                    continue;
+                                }
+                            };
+                            let row = match cols {
+                                None => store.score_row(query),
+                                Some(cols) => {
+                                    subset_calls += 1;
+                                    store.score_rows_subset(&[query], cols).remove(0)
+                                }
+                            };
+                            got.push((query, cols.cloned(), row));
+                        }
+                    }
+                    (got, subset_calls)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("caller thread panicked"))
+            .collect()
+    });
+
+    let oracle = NameSimilarity::default();
+    for (query, cols, row) in results.iter().flat_map(|(got, _)| got) {
+        let cols: Vec<usize> = cols.clone().unwrap_or_else(|| (0..n).collect());
+        for c in cols {
+            let label = store.interner().resolve(LabelId(c as u32));
+            assert_eq!(
+                row[c].to_bits(),
+                oracle.distance(query, label).to_bits(),
+                "{query:?} vs {label:?}"
+            );
+        }
+    }
+    for (kind, held) in [
+        ("rows", store.cached_rows()),
+        ("partial rows", store.cached_partial_rows()),
+        ("bound rows", store.cached_bound_rows()),
+    ] {
+        assert!(held <= 1, "{held} {kind} cached above the final bound 1");
+    }
+    let c = store.counters();
+    assert_eq!(c.row_hits + c.row_misses, c.row_lookups);
+    let subset_calls: u64 = results.iter().map(|(_, calls)| calls).sum();
+    assert_eq!(c.subset_lookups, subset_calls);
 }

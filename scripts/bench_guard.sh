@@ -136,13 +136,6 @@ else:
     # score_rows wrapper with tracing off must stay within ~5% of the
     # byte-for-byte pre-instrumentation baseline (ratio is
     # baseline/disabled, so 1.0 means free and 0.95 caps the cost).
-    # The sharded_sweep_over_single_lock floor holds the sharded score
-    # cache to its concurrency contract: multi-thread warm-hit sweeps
-    # over the 16-shard store must beat the identical single-lock store
-    # by >= 1.5x. The bench only emits the ratio on hosts with >= 2
-    # cores (on one core there is no concurrency to measure), so this
-    # floor is in HOST_DEPENDENT: when the fresh run did not measure
-    # it, the guard skips it loudly instead of failing.
     # The generate_cold_over_warm_1024 floor holds the candidate tier to
     # its bound-row memo: generation against a store whose memoised
     # bound rows were just cleared must stay clearly slower than
@@ -160,12 +153,7 @@ else:
         "generate_cold_over_warm_1024": 3.0,
         "pipeline_over_exhaustive_1024": 1.2,
         "trace_overhead_disabled": 0.95,
-        "sharded_sweep_over_single_lock": 1.5,
     }
-    # Floors whose ratio a fresh run may legitimately not measure
-    # (emission depends on the host, e.g. core count). Every other
-    # floor key missing from a fresh run is an error.
-    HOST_DEPENDENT = {"sharded_sweep_over_single_lock"}
     c_rel = committed.get("relative")
     if not c_rel:
         sys.exit("bench guard: committed baseline has no 'relative' section "
@@ -179,10 +167,6 @@ else:
         f = f_rel.get(key)
         if key in FLOORS:
             if f is None:
-                if key in HOST_DEPENDENT:
-                    print(f"relative.{key}: SKIPPED — not measured in "
-                          f"fresh run (single-core host?)")
-                    continue
                 sys.exit(f"bench guard: relative.{key} missing from fresh results")
             floor = FLOORS[key]
             print(f"relative.{key}: fresh {f:.2f}x (acceptance floor {floor:.1f}x)")

@@ -211,22 +211,6 @@ doc = {
             "trace_overhead/paired_baseline_over_disabled"
         ),
     },
-    # The sharded score cache under concurrency: multi-thread warm-hit
-    # sweeps over a 16-shard store vs an identical single-lock store.
-    # The guarded ratio is the PAIRED one (alternating sweeps in one
-    # loop): single-lock time over sharded time, i.e. the sharding
-    # speedup, floored at 1.5 by scripts/bench_guard.sh. The bench only
-    # emits it when available_parallelism() >= 2 — on a single-core
-    # host there is no concurrency to measure, the key stays null here,
-    # and the guard skips the floor loudly instead of failing.
-    "store_sharded": {
-        "threads": entries.get("store_sharded/threads"),
-        "sharded_ns": entries.get("store_sharded/sharded"),
-        "single_lock_ns": entries.get("store_sharded/single_lock"),
-        "paired_sharded_over_single_lock": entries.get(
-            "store_sharded/paired_sharded_over_single_lock"
-        ),
-    },
     # Within-run speedup ratios — each is measured inside ONE bench run,
     # so it is meaningful on any hardware. `scripts/bench_guard.sh` in
     # SMX_BENCH_GUARD=relative mode (the CI configuration) compares
@@ -252,9 +236,6 @@ doc = {
         "trace_overhead_disabled": round(
             entries["trace_overhead/paired_baseline_over_disabled"], 3
         ) if entries.get("trace_overhead/paired_baseline_over_disabled") else None,
-        "sharded_sweep_over_single_lock": round(
-            entries["store_sharded/paired_sharded_over_single_lock"], 3
-        ) if entries.get("store_sharded/paired_sharded_over_single_lock") else None,
     },
 }
 with open(sys.argv[2], "w") as f:

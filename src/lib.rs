@@ -21,7 +21,7 @@
 //! See `examples/quickstart.rs` for an end-to-end walkthrough and
 //! `ARCHITECTURE.md` at the workspace root for the crate map, the
 //! data-flow from ingestion to certificate, and the rationale behind
-//! the sharded score cache and generation-stamped invalidation.
+//! the score cache and generation-stamped invalidation.
 //!
 //! # Environment knobs
 //!
