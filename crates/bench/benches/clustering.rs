@@ -3,7 +3,7 @@
 //! repository size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use smx::repo::{agglomerative_clustering, greedy_clustering, Repository, TokenIndex};
+use smx::repo::{agglomerative_clustering, greedy_clustering, Repository};
 use smx::synth::{Scenario, ScenarioConfig};
 use std::hint::black_box;
 
@@ -41,17 +41,5 @@ fn bench_agglomerative(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_token_index(c: &mut Criterion) {
-    let repo = repository(32);
-    c.bench_function("token_index_build_32", |b| {
-        b.iter(|| black_box(TokenIndex::build(black_box(&repo))).vocabulary_size())
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_greedy,
-    bench_agglomerative,
-    bench_token_index
-);
+criterion_group!(benches, bench_greedy, bench_agglomerative);
 criterion_main!(benches);

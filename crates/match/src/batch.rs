@@ -82,7 +82,7 @@ use std::sync::Arc;
 ///
 /// Construction is cheap: every contained [`MatchProblem`] clones the
 /// repository, and repository clones share both the schema list and
-/// the label store — profiles, token index, and cached score rows —
+/// the label store — profiles, column arena, and cached score rows —
 /// through `Arc`s, so no schema data is duplicated per problem.
 #[derive(Debug, Clone)]
 pub struct BatchProblem {

@@ -3,11 +3,12 @@
 //! Snapshot + spill persistence for the repository score store — warm
 //! restarts for a long-lived matching service.
 //!
-//! Everything `smx-repo` derives at ingest (label profiles, token
-//! postings) and at query time (cached score rows) is recomputable, but
-//! recomputing it on every process restart throws away exactly the work
-//! the paper's non-exhaustive serving story depends on amortising. This
-//! crate makes that state durable in two complementary ways:
+//! Everything `smx-repo` derives at ingest (label profiles, column
+//! maps, filter lanes) and at query time (cached score rows) is
+//! recomputable, but recomputing it on every process restart throws
+//! away exactly the work the paper's non-exhaustive serving story
+//! depends on amortising. This crate makes that state durable in two
+//! complementary ways:
 //!
 //! * **Snapshots** ([`Snapshot`]): `Repository::save_snapshot` writes
 //!   the schemas plus the label store's hot state to a versioned,
@@ -29,23 +30,24 @@
 //!
 //! ```text
 //! magic   8  b"SMXPSNAP"
-//! version u32  format version (currently 1)
+//! version u32  format version (currently 2; readers accept 1 and 2)
 //! count   u32  number of sections
 //! table   count × { id: u32, offset: u64, len: u64, checksum: u64 }
 //! ...section payloads at their table offsets...
 //! ```
 //!
 //! Section checksums are FNV-1a 64 over the raw payload bytes and are
-//! verified before any payload is decoded. Version-1 sections:
+//! verified before any payload is decoded. Version-2 sections:
 //!
-//! | id | section  | contents |
-//! |----|----------|----------|
-//! | 1  | schemas  | every repository schema: name, arena nodes (name, kind, type, occurs, parent) |
-//! | 2  | labels   | distinct labels in `LabelId` order + per-schema label-id column maps |
-//! | 3  | tokens   | the token inverted index as `(token, postings)` pairs |
-//! | 4  | rows     | cached score rows `(query, f64 bits…)`, least recently used first |
-//! | 5  | config   | `StoreConfig`: cache bound + sweep worker count |
-//! | 6  | filters  | candidate-generation filter lanes (`FilterProfileData` per label, id order) — **optional/additive**: absent in pre-filter snapshots, rebuilt from labels |
+//! | id | section    | contents |
+//! |----|------------|----------|
+//! | 1  | schemas    | every repository schema: name, arena nodes (name, kind, type, occurs, parent) |
+//! | 2  | labels     | distinct labels in `LabelId` order + per-schema label-id column maps |
+//! | 3  | *retired*  | version 1's token inverted index: in a version-1 snapshot it is checksummed like any unknown id and never decoded; the id is never reused |
+//! | 4  | rows       | cached score rows `(query, f64 bits…)`, least recently used first |
+//! | 5  | config     | `StoreConfig`: cache bound + sweep worker count |
+//! | 6  | filters    | candidate-generation filter lanes (`FilterProfileData` per label, id order) — **optional/additive**: absent in pre-filter snapshots, rebuilt from labels |
+//! | 7  | tombstones | per-slot `(removed, generation)` — **optional/additive**: absent in pre-mutability snapshots, which load all-live |
 //!
 //! Label *profiles* are not stored: `LabelProfile::new` is a pure
 //! function of the label text (the row-kernel identity contract), so the
@@ -61,15 +63,17 @@
 //! * The magic never changes; a mismatch is [`PersistError::BadMagic`]
 //!   (not a snapshot at all).
 //! * `version` is bumped on any *incompatible* layout change; readers
-//!   reject versions they don't know
-//!   ([`PersistError::UnsupportedVersion`]) rather than guess.
+//!   accept every version from 1 to [`FORMAT_VERSION`] and reject
+//!   the rest ([`PersistError::UnsupportedVersion`]) rather than guess.
 //! * Within a version, writers may append **new section ids**; readers
 //!   skip unknown ids, so adding a section is forward- and
 //!   backward-compatible. Removing or re-encoding a section requires a
-//!   version bump. Sections 1–5 are mandatory
-//!   ([`PersistError::MissingSection`]); FILTERS (6) is additive — a
-//!   strict load accepts its absence (older writers) and rebuilds the
-//!   lanes from the label list, but rejects a *present* damaged one.
+//!   version bump, and a removed id is retired, never reused.
+//!   Sections 1, 2, 4 and 5 are mandatory
+//!   ([`PersistError::MissingSection`]); FILTERS (6) and TOMBSTONES (7)
+//!   are additive — a strict load accepts their absence (older writers)
+//!   and rebuilds the lanes from the label list or loads every slot
+//!   live, but rejects a *present* damaged one.
 //! * Decoding is all-or-nothing: any error leaves no partially built
 //!   repository behind.
 //!
@@ -111,14 +115,16 @@
 //! * **Snapshots** default to [`RecoveryPolicy::Strict`] — any damage
 //!   is a typed [`PersistError`]. Under
 //!   [`RecoveryPolicy::Salvage`], damage to a *derived* section
-//!   degrades instead of failing: labels and token postings are
-//!   rebuilt by replaying the (intact) schemas, cached rows are
-//!   dropped to a cold store, config falls back to defaults — each
-//!   recorded as a [`SalvageEvent`] in the returned
-//!   [`SnapshotReport`] and stamped on the store's health. Only the
-//!   SCHEMAS section is load-bearing: it is the one source of truth
-//!   the rest can be rebuilt from, so its damage (or a damaged
-//!   header) still fails under either policy.
+//!   degrades instead of failing: labels are rebuilt by replaying the
+//!   (intact) schemas, cached rows are dropped to a cold store, filter
+//!   lanes are rebuilt from the labels, config falls back to defaults.
+//!   A label replay matches the lost label ids only for a store never
+//!   mutated, so after a remove or replace it drops the cached rows
+//!   and rebuilds the filter lanes too. Each action is recorded as a
+//!   [`SalvageEvent`] in the returned [`SnapshotReport`] and stamped
+//!   on the store's health. Only the SCHEMAS section is load-bearing:
+//!   it is the one source of truth the rest can be rebuilt from, so
+//!   its damage (or a damaged header) still fails under either policy.
 //! * **Spill writes** are best-effort: a write error degrades the sink
 //!   (declines spills through a deterministic op-count backoff, then
 //!   re-opens and retries; see [`RetryPolicy`]) rather than poisoning

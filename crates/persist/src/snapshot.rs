@@ -16,10 +16,10 @@
 //! (the behaviour above), while **Salvage** keeps everything that still
 //! verifies and *rebuilds or drops* what doesn't — only the SCHEMAS
 //! section is load-bearing, because every other section is derivable
-//! from it (labels and tokens by deterministic replay, rows by
-//! re-sweeping on demand, config by defaults). A salvage load reports
-//! exactly what it did in a [`SnapshotReport`], so degradation is
-//! visible, never silent.
+//! from it (labels by deterministic replay, rows by re-sweeping on
+//! demand, config by defaults). A salvage load reports exactly what it
+//! did in a [`SnapshotReport`], so degradation is visible, never
+//! silent.
 //!
 //! Saves are crash-safe: [`Snapshot::save_snapshot_file`] stages the
 //! image in a sibling temp file, fsyncs, renames over the target, and
@@ -30,7 +30,7 @@
 use crate::error::PersistError;
 use crate::io::{atomic_write_file, PersistIo, RealIo};
 use crate::wire::{fnv1a, Reader, Writer};
-use smx_repo::{LabelInterner, LabelStore, Repository, SchemaId, StoreState, TokenIndex};
+use smx_repo::{LabelInterner, LabelStore, Repository, StoreState};
 use smx_xml::{Node, NodeId, Occurs, PrimitiveType, Schema};
 use std::fmt;
 use std::path::Path;
@@ -38,18 +38,23 @@ use std::path::Path;
 /// The 8-byte snapshot magic. Never changes across versions.
 pub const MAGIC: [u8; 8] = *b"SMXPSNAP";
 
-/// The snapshot format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+/// The snapshot format version this build writes. Readers accept every
+/// version from 1 up to this one.
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Section ids of the version-1 layout. All are mandatory; readers
-/// skip ids they don't know (see the compatibility policy).
+/// Section ids of the version-2 layout. Readers skip ids they don't
+/// know (see the compatibility policy).
+///
+/// Id 3 is **retired**: version-1 writers stored a token inverted
+/// index there, which nothing read. A version-1 snapshot still carries
+/// it; readers treat it like any unknown id (its checksum is verified
+/// with the table, its payload is never decoded). The id is never to be
+/// reused.
 pub mod section {
     /// Repository schemas (names + arena nodes).
     pub const SCHEMAS: u32 = 1;
     /// Interned labels + per-schema column maps.
     pub const LABELS: u32 = 2;
-    /// Token inverted index postings.
-    pub const TOKENS: u32 = 3;
     /// Cached score rows, least recently used first.
     pub const ROWS: u32 = 4;
     /// Store configuration (cache bound, sweep workers).
@@ -66,10 +71,9 @@ pub mod section {
     /// what those snapshots describe — tombstones didn't exist yet).
     pub const TOMBSTONES: u32 = 7;
 
-    /// Every mandatory version-1 section. FILTERS and TOMBSTONES are
-    /// deliberately not in this list — their absence is legal (older
-    /// writers).
-    pub const MANDATORY: [u32; 5] = [SCHEMAS, LABELS, TOKENS, ROWS, CONFIG];
+    /// Every mandatory section. FILTERS and TOMBSTONES are deliberately
+    /// not in this list — their absence is legal (older writers).
+    pub const MANDATORY: [u32; 4] = [SCHEMAS, LABELS, ROWS, CONFIG];
 }
 
 /// How a snapshot load treats damage.
@@ -82,13 +86,15 @@ pub enum RecoveryPolicy {
     #[default]
     Strict,
     /// Keep everything that still verifies; rebuild or drop what
-    /// doesn't. Only the SCHEMAS section is required — labels and the
-    /// token index are rebuilt from the schemas by deterministic
-    /// replay, damaged cached rows are dropped (a cold store, rebuilt
-    /// on demand), damaged config falls back to defaults. What was
-    /// salvaged is reported in the returned [`SnapshotReport`]; match
-    /// answers stay bitwise-identical either way because every rebuilt
-    /// structure is a pure function of the schemas. The right mode for
+    /// doesn't. Only the SCHEMAS section is required — labels are
+    /// rebuilt from the schemas by deterministic replay (dropping the
+    /// cached rows and stored filter lanes too when the replay cannot
+    /// be proven to reproduce the lost label order), damaged cached
+    /// rows are dropped (a cold store, rebuilt on demand), damaged
+    /// config falls back to defaults. What was salvaged is reported in
+    /// the returned [`SnapshotReport`]; match answers stay
+    /// bitwise-identical either way because every rebuilt structure is
+    /// a pure function of the schemas. The right mode for
     /// a warm restart: it never fails when a cold start would succeed.
     Salvage,
 }
@@ -124,21 +130,24 @@ impl fmt::Display for Damage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SalvageEvent {
     /// LABELS was damaged; labels and column maps were rebuilt by
-    /// replaying the interner over the schemas (identical to ingest
-    /// order, so surviving cached rows stay valid).
+    /// replaying the interner over the schemas in slot order. That
+    /// order equals ingest order only for a store no schema was ever
+    /// removed from or replaced in; otherwise the replayed label list
+    /// can miss or reorder labels of the lost one, and the load also
+    /// drops ROWS and rebuilds FILTERS (each reported as
+    /// [`Damage::Inconsistent`]).
     LabelsRebuilt(Damage),
-    /// TOKENS was damaged; the token inverted index was rebuilt from
-    /// the schemas.
-    TokensRebuilt(Damage),
-    /// ROWS was damaged (or contradicted the label list); all cached
-    /// score rows were dropped — the store restarts cold and re-sweeps
-    /// on demand, bitwise-identically.
+    /// ROWS was damaged (or contradicted the label list, or a LABELS
+    /// rebuild could not be proven exact); all cached score rows were
+    /// dropped — the store restarts cold and re-sweeps on demand,
+    /// bitwise-identically.
     RowsDropped(Damage),
     /// CONFIG was damaged; the store uses default configuration
     /// (unbounded cache, auto sweep threads).
     ConfigDefaulted(Damage),
-    /// FILTERS was damaged (checksum, decode, or a lane count that
-    /// contradicts the label list); the candidate-generation filter
+    /// FILTERS was damaged (checksum, decode, a lane count that
+    /// contradicts the label list, or a LABELS rebuild that could not
+    /// be proven exact); the candidate-generation filter
     /// lanes were rebuilt from the label text — identical by
     /// construction, so candidate bounds are unaffected. A snapshot
     /// that simply *predates* the section rebuilds silently, without
@@ -159,9 +168,6 @@ impl fmt::Display for SalvageEvent {
         match self {
             SalvageEvent::LabelsRebuilt(d) => {
                 write!(f, "LABELS {d}: labels + column maps rebuilt from schemas")
-            }
-            SalvageEvent::TokensRebuilt(d) => {
-                write!(f, "TOKENS {d}: token index rebuilt from schemas")
             }
             SalvageEvent::RowsDropped(d) => {
                 write!(f, "ROWS {d}: cached score rows dropped (cold store)")
@@ -194,6 +200,26 @@ impl SnapshotReport {
     /// Whether the snapshot loaded without any salvaging.
     pub fn is_clean(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// Section `id`'s checked value, or `None` after recording
+    /// `event(damage)`. A missing section that is not
+    /// [mandatory](section::MANDATORY) records nothing: an older writer
+    /// lacked it, which is compatibility, not damage.
+    fn salvaged<T>(
+        &mut self,
+        id: u32,
+        checked: Result<T, Damage>,
+        event: fn(Damage) -> SalvageEvent,
+    ) -> Option<T> {
+        match checked {
+            Ok(value) => Some(value),
+            Err(Damage::Missing) if !section::MANDATORY.contains(&id) => None,
+            Err(damage) => {
+                self.events.push(event(damage));
+                None
+            }
+        }
     }
 }
 
@@ -276,7 +302,6 @@ impl Snapshot for Repository {
         let sections: Vec<(u32, Vec<u8>)> = vec![
             (section::SCHEMAS, encode_schemas(self)),
             (section::LABELS, encode_labels(&state)),
-            (section::TOKENS, encode_tokens(&state)),
             (section::ROWS, encode_rows(&state)),
             (section::CONFIG, encode_config(&state)),
             (section::FILTERS, encode_filters(&state)),
@@ -341,39 +366,30 @@ impl Snapshot for Repository {
 /// snapshot before any repository state exists.
 fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
     let sections = read_section_table(bytes)?;
-    let payload = |id: u32| -> Result<&[u8], PersistError> {
+    let optional = |id: u32| {
         sections
             .iter()
             .find(|s| s.id == id)
             .map(|s| &bytes[s.offset..s.offset + s.len])
-            .ok_or(PersistError::MissingSection(id))
     };
+    let payload = |id: u32| optional(id).ok_or(PersistError::MissingSection(id));
     let schemas = decode_schemas(payload(section::SCHEMAS)?)?;
     let (labels, schema_labels) = decode_labels(payload(section::LABELS)?)?;
-    let postings = decode_tokens(payload(section::TOKENS)?)?;
     let rows = decode_rows(payload(section::ROWS)?)?;
     let (max_cached_rows, batch_threads) = decode_config(payload(section::CONFIG)?)?;
-    // FILTERS is additive: absent (an older writer) means the lanes are
-    // rebuilt from the label text at import; *present* but undecodable
-    // is damage and rejected like any other strict failure. (A present
+    // FILTERS and TOMBSTONES are additive: absent (an older writer)
+    // means the lanes are rebuilt from the label text at import and
+    // every slot is live at generation 0; *present* but undecodable is
+    // damage and rejected like any other strict failure. (A present
     // section with a bad checksum never reaches here — the table pass
     // already rejected it.)
-    let filters = sections
-        .iter()
-        .find(|s| s.id == section::FILTERS)
-        .map(|s| decode_filters(&bytes[s.offset..s.offset + s.len]))
-        .transpose()?;
-    // TOMBSTONES follows the same additive policy: absent means every
-    // slot is live at generation 0 (a pre-mutability writer).
-    let tombstones = sections
-        .iter()
-        .find(|s| s.id == section::TOMBSTONES)
-        .map(|s| decode_tombstones(&bytes[s.offset..s.offset + s.len]))
+    let filters = optional(section::FILTERS).map(decode_filters).transpose()?;
+    let tombstones = optional(section::TOMBSTONES)
+        .map(decode_tombstones)
         .transpose()?;
     let state = StoreState {
         labels,
         schema_labels,
-        postings,
         rows,
         max_cached_rows,
         batch_threads,
@@ -392,13 +408,18 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
 /// rebuild *from*; that is exactly the case where a cold start would
 /// fail too. Everything else degrades per section:
 ///
-/// * LABELS → rebuilt by replaying [`LabelInterner`] over the schemas.
-///   Replay order equals ingest order equals save order, so a rebuilt
-///   label list is *identical* to the lost one and surviving cached
-///   rows (prefix-indexed by label order) remain valid.
-/// * TOKENS → rebuilt by replaying [`TokenIndex::add_schema`].
+/// * LABELS → rebuilt by replaying [`LabelInterner`] over the schemas
+///   in slot order. That is ingest order — so the replay reproduces the
+///   lost label list — only when no schema was ever removed or
+///   replaced: TOMBSTONES absent (a pre-mutability writer) or intact
+///   with every slot live at generation 0. Otherwise removals may have
+///   orphaned labels and replaces appended them, so the replay can miss
+///   or reorder labels of the lost list, and ROWS and FILTERS (both
+///   indexed by label id) are dropped and rebuilt as inconsistent.
 /// * ROWS → dropped; the store restarts cold and re-sweeps on demand.
 /// * CONFIG → defaults.
+/// * FILTERS → rebuilt from the label text.
+/// * TOMBSTONES → every slot live at generation 0.
 fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistError> {
     let sections = read_section_table_lenient(bytes)?;
     let payload = |id: u32| -> Result<&[u8], Damage> {
@@ -419,117 +440,60 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
         Err(_) => return Err(PersistError::ChecksumMismatch(section::SCHEMAS)),
     };
 
-    let mut events = Vec::new();
+    // TOMBSTONES is decoded first because it decides whether a LABELS
+    // replay is exact; its event is still reported in section order.
+    let tombstones = checked(payload(section::TOMBSTONES), decode_tombstones, |t| {
+        t.len() == schemas.len()
+    });
+    let replay_exact = match &tombstones {
+        Ok(t) => t
+            .iter()
+            .all(|&(removed, generation)| !removed && generation == 0),
+        Err(damage) => *damage == Damage::Missing,
+    };
+
+    let mut report = SnapshotReport::default();
 
     // LABELS: use if it decodes and cross-checks; else replay-rebuild.
-    let labels_result = payload(section::LABELS)
-        .and_then(|p| decode_labels(p).map_err(|_| Damage::Undecodable))
-        .and_then(|(labels, schema_labels)| {
-            validate_labels(&schemas, &labels, &schema_labels)
-                .map(|()| (labels, schema_labels))
-                .map_err(|_| Damage::Inconsistent)
-        });
-    let (labels, schema_labels) = match labels_result {
-        Ok(pair) => pair,
-        Err(damage) => {
-            events.push(SalvageEvent::LabelsRebuilt(damage));
-            rebuild_labels(&schemas)
-        }
-    };
-
-    // TOKENS: same shape, rebuilt via the incremental index path.
-    let postings_result = payload(section::TOKENS)
-        .and_then(|p| decode_tokens(p).map_err(|_| Damage::Undecodable))
-        .and_then(|postings| {
-            validate_postings(&schemas, &postings)
-                .map(|()| postings)
-                .map_err(|_| Damage::Inconsistent)
-        });
-    let postings = match postings_result {
-        Ok(postings) => postings,
-        Err(damage) => {
-            events.push(SalvageEvent::TokensRebuilt(damage));
-            rebuild_postings(&schemas)
-        }
-    };
-
-    // ROWS: validated against the *final* label list (original or
-    // rebuilt — identical by construction, but never trusted blindly).
-    let rows_result = payload(section::ROWS)
-        .and_then(|p| decode_rows(p).map_err(|_| Damage::Undecodable))
-        .and_then(|rows| {
-            validate_rows(labels.len(), &rows)
-                .map(|()| rows)
-                .map_err(|_| Damage::Inconsistent)
-        });
-    let rows = match rows_result {
-        Ok(rows) => rows,
-        Err(damage) => {
-            events.push(SalvageEvent::RowsDropped(damage));
-            Vec::new()
-        }
-    };
-
-    // CONFIG: defaults on any damage.
-    let (max_cached_rows, batch_threads) = match payload(section::CONFIG)
-        .and_then(|p| decode_config(p).map_err(|_| Damage::Undecodable))
-    {
-        Ok(config) => config,
-        Err(damage) => {
-            events.push(SalvageEvent::ConfigDefaulted(damage));
-            (None, 0)
-        }
-    };
-
-    // FILTERS: use if present, decodable, and sized to the label list;
-    // otherwise rebuild from the labels (`None` lets the store import
-    // path re-derive identical lanes). A snapshot that predates the
-    // section rebuilds *silently* — that is compatibility, not damage.
-    let filters = match payload(section::FILTERS) {
-        Ok(p) => match decode_filters(p) {
-            Ok(f) if f.len() == labels.len() => Some(f),
-            Ok(_) => {
-                events.push(SalvageEvent::FiltersRebuilt(Damage::Inconsistent));
-                None
-            }
-            Err(_) => {
-                events.push(SalvageEvent::FiltersRebuilt(Damage::Undecodable));
-                None
-            }
-        },
-        Err(Damage::Missing) => None,
-        Err(damage) => {
-            events.push(SalvageEvent::FiltersRebuilt(damage));
-            None
-        }
-    };
-
-    // TOMBSTONES: all-live on any damage. Match answers are unaffected
-    // (removed slots persist as empty schemas every matcher skips);
-    // only liveness accounting and generation stamps degrade.
-    let tombstones = match payload(section::TOMBSTONES) {
-        Ok(p) => match decode_tombstones(p) {
-            Ok(t) if t.len() == schemas.len() => Some(t),
-            Ok(_) => {
-                events.push(SalvageEvent::TombstonesDropped(Damage::Inconsistent));
-                None
-            }
-            Err(_) => {
-                events.push(SalvageEvent::TombstonesDropped(Damage::Undecodable));
-                None
-            }
-        },
-        Err(Damage::Missing) => None,
-        Err(damage) => {
-            events.push(SalvageEvent::TombstonesDropped(damage));
-            None
-        }
-    };
+    let labels = checked(
+        payload(section::LABELS),
+        decode_labels,
+        |(labels, columns)| validate_labels(&schemas, labels, columns).is_ok(),
+    );
+    let ((labels, schema_labels), ids_kept) =
+        match report.salvaged(section::LABELS, labels, SalvageEvent::LabelsRebuilt) {
+            Some(pair) => (pair, true),
+            None => (rebuild_labels(&schemas), replay_exact),
+        };
+    // ROWS and FILTERS are indexed by label id: kept only on the saved
+    // ids, sized to the final label list. Dropped rows leave a cold
+    // store; `None` lanes are re-derived, identically, at import.
+    let rows = checked(payload(section::ROWS), decode_rows, |rows| {
+        ids_kept && validate_rows(labels.len(), rows).is_ok()
+    });
+    let rows = report
+        .salvaged(section::ROWS, rows, SalvageEvent::RowsDropped)
+        .unwrap_or_default();
+    let config = checked(payload(section::CONFIG), decode_config, |_| true);
+    let (max_cached_rows, batch_threads) = report
+        .salvaged(section::CONFIG, config, SalvageEvent::ConfigDefaulted)
+        .unwrap_or((None, 0));
+    let filters = checked(payload(section::FILTERS), decode_filters, |f| {
+        ids_kept && f.len() == labels.len()
+    });
+    let filters = report.salvaged(section::FILTERS, filters, SalvageEvent::FiltersRebuilt);
+    // Damaged tombstones load every slot live at generation 0. Match
+    // answers are unaffected (removed slots persist as empty schemas
+    // every matcher skips); only liveness accounting degrades.
+    let tombstones = report.salvaged(
+        section::TOMBSTONES,
+        tombstones,
+        SalvageEvent::TombstonesDropped,
+    );
 
     let state = StoreState {
         labels,
         schema_labels,
-        postings,
         rows,
         max_cached_rows,
         batch_threads,
@@ -544,13 +508,29 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
     let repo = Repository::from_parts(schemas, store);
     // Stamp the degradation on the store, so callers that only ever see
     // the repository (not this report) still observe it via `health()`.
-    repo.store().record_salvage_events(events.len() as u64);
-    Ok((repo, SnapshotReport { events }))
+    repo.store()
+        .record_salvage_events(report.events.len() as u64);
+    Ok((repo, report))
+}
+
+/// Decode a salvage-mode section `payload` and cross-check it with
+/// `consistent`, naming the damage on failure.
+fn checked<T>(
+    payload: Result<&[u8], Damage>,
+    decode: impl FnOnce(&[u8]) -> Result<T, PersistError>,
+    consistent: impl FnOnce(&T) -> bool,
+) -> Result<T, Damage> {
+    let value = decode(payload?).map_err(|_| Damage::Undecodable)?;
+    if consistent(&value) {
+        Ok(value)
+    } else {
+        Err(Damage::Inconsistent)
+    }
 }
 
 /// Rebuild the interned label list + per-schema column maps by
-/// replaying the interner over the schemas in id order — the same
-/// order ingest used, so ids match the lost section exactly.
+/// replaying the interner over the schemas in slot order — ingest
+/// order for a store that was never mutated (see [`salvage_load`]).
 fn rebuild_labels(schemas: &[Schema]) -> (Vec<String>, Vec<Vec<u32>>) {
     let mut interner = LabelInterner::new();
     let schema_labels: Vec<Vec<u32>> = schemas
@@ -563,19 +543,6 @@ fn rebuild_labels(schemas: &[Schema]) -> (Vec<String>, Vec<Vec<u32>>) {
     (labels, schema_labels)
 }
 
-/// Rebuild the token inverted index postings by replaying the
-/// incremental `add_schema` path over the schemas in id order.
-fn rebuild_postings(schemas: &[Schema]) -> Vec<(String, Vec<smx_repo::ElementRef>)> {
-    let mut index = TokenIndex::default();
-    for (i, schema) in schemas.iter().enumerate() {
-        index.add_schema(SchemaId(i as u32), schema);
-    }
-    index
-        .postings()
-        .map(|(token, elements)| (token.to_owned(), elements.to_vec()))
-        .collect()
-}
-
 /// One parsed and checksum-verified section table entry.
 struct SectionEntry {
     id: u32,
@@ -583,10 +550,11 @@ struct SectionEntry {
     len: usize,
 }
 
-/// Parse the header + section table and verify every section's bounds
-/// and checksum. Unknown section ids are kept in the table (and simply
-/// never asked for) — the forward-compatibility half of the policy.
-fn read_section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
+/// Parse the header — magic, a version this build reads
+/// (`1..=FORMAT_VERSION`), and the section count — and return a reader
+/// positioned at the first table entry. Both table parsers start here,
+/// so both accept exactly the same versions.
+fn read_header(bytes: &[u8]) -> Result<(Reader<'_>, usize), PersistError> {
     let mut r = Reader::new(bytes);
     if bytes.len() < MAGIC.len() {
         return Err(PersistError::Truncated);
@@ -599,10 +567,18 @@ fn read_section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
         return Err(PersistError::BadMagic);
     }
     let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
+    if !(1..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion(version));
     }
     let count = r.get_u32()? as usize;
+    Ok((r, count))
+}
+
+/// Parse the header + section table and verify every section's bounds
+/// and checksum. Unknown section ids are kept in the table (and simply
+/// never asked for) — the forward-compatibility half of the policy.
+fn read_section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
+    let (mut r, count) = read_header(bytes)?;
     // Each table entry is 28 bytes; a count the remaining bytes cannot
     // hold is a lie (the header is outside the checksummed payloads, so
     // this is the only integrity check it gets) — and must be caught
@@ -635,22 +611,8 @@ fn read_section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
 /// instead of rejecting the table, and a table physically shorter than
 /// its count yields the entries that fit.
 fn read_section_table_lenient(bytes: &[u8]) -> Result<Vec<(SectionEntry, bool)>, PersistError> {
-    let mut r = Reader::new(bytes);
-    if bytes.len() < MAGIC.len() {
-        return Err(PersistError::Truncated);
-    }
-    let mut magic = [0u8; 8];
-    for m in &mut magic {
-        *m = r.get_u8()?;
-    }
-    if magic != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    let count = (r.get_u32()? as usize).min(r.remaining() / 28);
+    let (mut r, count) = read_header(bytes)?;
+    let count = count.min(r.remaining() / 28);
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let id = r.get_u32()?;
@@ -808,38 +770,6 @@ fn decode_labels(bytes: &[u8]) -> Result<LabelSections, PersistError> {
         schema_labels.push(columns);
     }
     Ok((labels, schema_labels))
-}
-
-fn encode_tokens(state: &StoreState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u32(state.postings.len() as u32);
-    for (token, elements) in &state.postings {
-        w.put_str(token);
-        w.put_u32(elements.len() as u32);
-        for element in elements {
-            w.put_u32(element.schema.0);
-            w.put_u32(element.node.0);
-        }
-    }
-    w.into_bytes()
-}
-
-fn decode_tokens(bytes: &[u8]) -> Result<Vec<(String, Vec<smx_repo::ElementRef>)>, PersistError> {
-    let mut r = Reader::new(bytes);
-    let count = r.get_u32()? as usize;
-    let mut postings = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let token = r.get_str()?;
-        let n = r.get_u32()? as usize;
-        let mut elements = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let schema = smx_repo::SchemaId(r.get_u32()?);
-            let node = NodeId(r.get_u32()?);
-            elements.push(smx_repo::ElementRef { schema, node });
-        }
-        postings.push((token, elements));
-    }
-    Ok(postings)
 }
 
 fn encode_rows(state: &StoreState) -> Vec<u8> {
@@ -1026,48 +956,26 @@ fn decode_filters(bytes: &[u8]) -> Result<Vec<smx_repo::FilterProfileData>, Pers
 /// Cross-reference the decoded sections before any store is built: the
 /// label list must be duplicate-free, every column map must mirror its
 /// schema's node names through the label list, every cached row must be
-/// a valid prefix of the label list, and every token posting must point
-/// at a real element (the pre-filter path indexes schemas by these
-/// references unchecked). Composed from the per-section validators the
-/// salvage path uses piecewise.
+/// a valid prefix of the label list, and the filter lanes and tombstones
+/// must match the label and slot counts. The salvage path runs the same
+/// checks section by section.
 fn validate(schemas: &[Schema], state: &StoreState) -> Result<(), PersistError> {
     validate_labels(schemas, &state.labels, &state.schema_labels)?;
     validate_rows(state.labels.len(), &state.rows)?;
-    validate_postings(schemas, &state.postings)?;
-    validate_filters(state.labels.len(), state.filters.as_deref())?;
-    validate_tombstones(schemas.len(), state.tombstones.as_deref())
-}
-
-/// The TOMBSTONES cross-check: when present, exactly one
-/// `(removed, generation)` pair per schema slot.
-fn validate_tombstones(
-    schema_count: usize,
-    tombstones: Option<&[(bool, u64)]>,
-) -> Result<(), PersistError> {
-    match tombstones {
-        Some(slots) if slots.len() != schema_count => Err(PersistError::Corrupt(format!(
-            "{} tombstone slots for {schema_count} schemas",
-            slots.len()
+    // Filter lanes and tombstones, when present, hold one entry per
+    // label and per slot. (Lane-internal invariants are re-validated by
+    // the store at import; a violation there degrades to a rebuild from
+    // label text, which is bitwise-equivalent by construction.)
+    let counted = |what: &str, found: Option<usize>, expected: usize, per: &str| match found {
+        Some(n) if n != expected => Err(PersistError::Corrupt(format!(
+            "{n} {what} for {expected} {per}"
         ))),
         _ => Ok(()),
-    }
-}
-
-/// The FILTERS cross-check: when present, exactly one lane entry per
-/// label. (Lane-internal invariants are re-validated by the store at
-/// import; a violation there degrades to a rebuild from label text,
-/// which is bitwise-equivalent by construction.)
-fn validate_filters(
-    label_count: usize,
-    filters: Option<&[smx_repo::FilterProfileData]>,
-) -> Result<(), PersistError> {
-    match filters {
-        Some(lanes) if lanes.len() != label_count => Err(PersistError::Corrupt(format!(
-            "{} filter lanes for {label_count} labels",
-            lanes.len()
-        ))),
-        _ => Ok(()),
-    }
+    };
+    let lanes = state.filters.as_ref().map(Vec::len);
+    counted("filter lanes", lanes, state.labels.len(), "labels")?;
+    let slots = state.tombstones.as_ref().map(Vec::len);
+    counted("tombstone slots", slots, schemas.len(), "schemas")
 }
 
 /// The LABELS cross-checks: duplicate-free label list, one column map
@@ -1123,32 +1031,6 @@ fn validate_rows(label_count: usize, rows: &[(String, Vec<f64>)]) -> Result<(), 
                 "row {query:?} has {} entries for {label_count} labels",
                 row.len()
             )));
-        }
-    }
-    Ok(())
-}
-
-/// The TOKENS cross-check: every posting must point at a real element.
-fn validate_postings(
-    schemas: &[Schema],
-    postings: &[(String, Vec<smx_repo::ElementRef>)],
-) -> Result<(), PersistError> {
-    for (token, elements) in postings {
-        for element in elements {
-            let schema = schemas.get(element.schema.index()).ok_or_else(|| {
-                PersistError::Corrupt(format!(
-                    "token {token:?} posting references schema {}",
-                    element.schema
-                ))
-            })?;
-            if element.node.index() >= schema.len() {
-                return Err(PersistError::Corrupt(format!(
-                    "token {token:?} posting references node {} of {}-node schema {}",
-                    element.node,
-                    schema.len(),
-                    element.schema
-                )));
-            }
         }
     }
     Ok(())
@@ -1278,20 +1160,6 @@ mod tests {
     }
 
     #[test]
-    fn salvage_rebuilds_corrupt_tokens() {
-        let repo = repository();
-        let mut bytes = repo.save_snapshot();
-        corrupt_section(&mut bytes, section::TOKENS);
-        let (loaded, report) =
-            Repository::load_snapshot_report(&bytes, RecoveryPolicy::Salvage).unwrap();
-        assert_eq!(
-            report.events,
-            vec![SalvageEvent::TokensRebuilt(Damage::BadChecksum)]
-        );
-        assert_eq!(loaded, repo);
-    }
-
-    #[test]
     fn salvage_drops_corrupt_rows_to_cold_store() {
         let repo = repository();
         let mut bytes = repo.save_snapshot();
@@ -1401,7 +1269,8 @@ mod tests {
 
     #[test]
     fn snapshots_without_filters_section_load_and_rebuild_lanes() {
-        // A snapshot from a pre-FILTERS writer: sections 1–5 only.
+        // A snapshot from a pre-FILTERS writer: the mandatory sections
+        // only.
         let repo = repository();
         let old = strip_to_sections(&repo.save_snapshot(), &section::MANDATORY);
         let loaded = Repository::load_snapshot(&old).expect("additive section may be absent");
@@ -1512,6 +1381,56 @@ mod tests {
         assert_bitwise_rows(&repo, &salvaged, &["orderTitle", "orderLine"]);
     }
 
+    /// [`mutated_repository`] as the last version-1 writer saved it:
+    /// it still carries the retired section 3.
+    const V1_MUTATED: &[u8] = include_bytes!("../tests/data/v1_mutated_repository.snap");
+
+    #[test]
+    fn version_1_snapshots_load_under_both_policies() {
+        assert_eq!(V1_MUTATED[MAGIC.len()..MAGIC.len() + 4], 1u32.to_le_bytes());
+        assert!(read_section_table(V1_MUTATED)
+            .unwrap()
+            .iter()
+            .any(|s| s.id == 3));
+        // A store image with its cached rows as bit patterns, so equality
+        // is bitwise on the rows and by value on everything else.
+        let image = |repo: &Repository| {
+            let state = repo.store().export_state();
+            let rows: Vec<(String, Vec<u64>)> = state
+                .rows
+                .iter()
+                .map(|(q, row)| (q.clone(), row.iter().map(|v| v.to_bits()).collect()))
+                .collect();
+            (
+                StoreState {
+                    rows: Vec::new(),
+                    ..state
+                },
+                rows,
+            )
+        };
+        let fresh = mutated_repository();
+        for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Salvage] {
+            let (loaded, report) = Repository::load_snapshot_report(V1_MUTATED, policy).unwrap();
+            assert!(report.is_clean(), "{policy:?}: {report}");
+            assert_eq!(loaded, fresh, "{policy:?}: schemas");
+            // Labels, column maps, rows, config, filter lanes, and each
+            // slot's tombstone and generation.
+            assert_eq!(image(&loaded), image(&fresh), "{policy:?}");
+            // Re-saving writes the current version, without section 3.
+            let resaved = loaded.save_snapshot();
+            assert_eq!(
+                resaved[MAGIC.len()..MAGIC.len() + 4],
+                FORMAT_VERSION.to_le_bytes()
+            );
+            assert!(read_section_table(&resaved)
+                .unwrap()
+                .iter()
+                .all(|s| s.id != 3));
+        }
+        assert_eq!(FORMAT_VERSION, 2);
+    }
+
     #[test]
     fn config_payloads_of_every_writer_generation_decode() {
         // Before the sharded store, a CONFIG payload ended after
@@ -1533,7 +1452,6 @@ mod tests {
         let state = StoreState {
             labels: Vec::new(),
             schema_labels: Vec::new(),
-            postings: Vec::new(),
             rows: Vec::new(),
             max_cached_rows: Some(7),
             batch_threads: 3,
@@ -1564,12 +1482,17 @@ mod tests {
             Repository::load_snapshot_report(&bytes, RecoveryPolicy::Salvage),
             Err(PersistError::BadMagic)
         ));
-        let mut bytes = repo.save_snapshot();
-        bytes[8] = 99; // version
-        assert!(matches!(
-            Repository::load_snapshot_report(&bytes, RecoveryPolicy::Salvage),
-            Err(PersistError::UnsupportedVersion(99))
-        ));
+        // Both policies read versions 1..=FORMAT_VERSION only.
+        for version in [0, FORMAT_VERSION + 1, 99] {
+            let mut bytes = repo.save_snapshot();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Salvage] {
+                assert!(matches!(
+                    Repository::load_snapshot_report(&bytes, policy),
+                    Err(PersistError::UnsupportedVersion(v)) if v == version
+                ));
+            }
+        }
     }
 
     #[test]
@@ -1621,8 +1544,8 @@ mod tests {
 
     #[test]
     fn unknown_sections_are_skipped() {
-        // Append a section id far above the known range: a v1 reader
-        // must ignore it (forward compatibility for additive sections).
+        // Append a section id far above the known range: a reader must
+        // ignore it (forward compatibility for additive sections).
         let repo = repository();
         let mut bytes = repo.save_snapshot();
         // Rewrite: rebuild with one extra empty section in the table.

@@ -18,14 +18,18 @@
 use proptest::prelude::*;
 use smx_eval::AnswerSet;
 use smx_match::test_support::{all_matchers, canonical_answers, run_matcher};
-use smx_match::{MappingRegistry, MatchProblem, Matcher, ObjectiveFunction};
-use smx_persist::{
-    Fault, FaultIo, FaultPlan, RealIo, RecoveryPolicy, RetryPolicy, SalvageEvent, Snapshot,
-    SpillFile,
+use smx_match::{
+    CandidateGenerator, CertifiedMatcher, ExhaustiveMatcher, MappingRegistry, MatchProblem,
+    Matcher, ObjectiveFunction,
 };
-use smx_repo::{Repository, StoreConfig};
+use smx_persist::{
+    section, Damage, Fault, FaultIo, FaultPlan, RealIo, RecoveryPolicy, RetryPolicy, SalvageEvent,
+    Snapshot, SpillFile, MAGIC,
+};
+use smx_repo::{LabelId, Repository, SchemaId, StoreConfig};
 use smx_synth::{Scenario, ScenarioConfig};
-use smx_xml::Schema;
+use smx_text::NameSimilarity;
+use smx_xml::{PrimitiveType, Schema, SchemaBuilder};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -188,12 +192,9 @@ fn salvage_storm_reports_each_damaged_section_and_answers_identically() {
 
     // Flip one payload bit per degradable section and salvage each.
     type EventMatcher = fn(&SalvageEvent) -> bool;
-    let storms: [(u32, EventMatcher); 4] = [
+    let storms: [(u32, EventMatcher); 3] = [
         (smx_persist::section::LABELS, |e| {
             matches!(e, SalvageEvent::LabelsRebuilt(_))
-        }),
-        (smx_persist::section::TOKENS, |e| {
-            matches!(e, SalvageEvent::TokensRebuilt(_))
         }),
         (smx_persist::section::ROWS, |e| {
             matches!(e, SalvageEvent::RowsDropped(_))
@@ -313,6 +314,91 @@ fn mutated_bounded_store_is_bitwise_identical_under_fault_storms() {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// Assert every row cached in `repo`'s store equals the scalar oracle's
+/// distances from its query to the store's own label list, bitwise.
+fn assert_cached_rows_are_oracle(repo: &Repository) {
+    let store = repo.store();
+    let oracle = NameSimilarity::default();
+    for (query, row) in store.export_state().rows {
+        assert!(row.len() <= store.len(), "row {query:?} is too long");
+        for (id, d) in row.iter().enumerate() {
+            let label = store.interner().resolve(LabelId(id as u32));
+            assert_eq!(
+                d.to_bits(),
+                oracle.distance(&query, label).to_bits(),
+                "row {query:?} vs label {label:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn salvaged_labels_after_a_replace_keep_no_row_under_a_wrong_label_id() {
+    // Slot 0 holds `alpha`, slot 1 `betaGamma`. Replacing slot 0 with a
+    // `betaGamma` root over an `alpha` leaf interns nothing new, so the
+    // live label list stays [alpha, betaGamma] while a slot-order
+    // replay of the schemas yields [betaGamma, alpha].
+    let mut repository = Repository::new();
+    repository.add(SchemaBuilder::new("a").root("alpha").build());
+    repository.add(SchemaBuilder::new("b").root("betaGamma").build());
+    repository.replace_schema(
+        SchemaId(0),
+        SchemaBuilder::new("c")
+            .root("betaGamma")
+            .leaf("alpha", PrimitiveType::String)
+            .build(),
+    );
+    repository.store().score_row("alphabet");
+    let personal = SchemaBuilder::new("p")
+        .root("alphabet")
+        .leaf("gamma", PrimitiveType::String)
+        .build();
+    let problem = MatchProblem::new(personal.clone(), repository.clone()).unwrap();
+    CertifiedMatcher::new(
+        ExhaustiveMatcher::default(),
+        CandidateGenerator::auto(ObjectiveFunction::default()),
+    )
+    .run_certified(&problem, DELTA_MAX, &MappingRegistry::new());
+
+    // Flip one byte of the LABELS payload: the writer puts LABELS in
+    // the second 28-byte table entry, after magic, version and count.
+    let mut bytes = repository.save_snapshot();
+    let entry = MAGIC.len() + 8 + 28;
+    assert_eq!(bytes[entry..entry + 4], section::LABELS.to_le_bytes());
+    let offset = u64::from_le_bytes(bytes[entry + 4..entry + 12].try_into().unwrap()) as usize;
+    bytes[offset] ^= 0xFF;
+
+    let (salvaged, report) =
+        Repository::load_snapshot_report(&bytes, RecoveryPolicy::Salvage).unwrap();
+    assert_eq!(
+        report.events,
+        vec![
+            SalvageEvent::LabelsRebuilt(Damage::BadChecksum),
+            SalvageEvent::RowsDropped(Damage::Inconsistent),
+            SalvageEvent::FiltersRebuilt(Damage::Inconsistent),
+        ]
+    );
+    let labels: Vec<&str> = (0..salvaged.store().len())
+        .map(|i| salvaged.store().interner().resolve(LabelId(i as u32)))
+        .collect();
+    assert_eq!(labels, ["betaGamma", "alpha"], "the replay permutes labels");
+    assert_cached_rows_are_oracle(&salvaged);
+
+    for (name, matcher) in all_matchers() {
+        let registry = MappingRegistry::new();
+        let oracle = run(&matcher, &personal, &repository, &registry);
+        let degraded = run(&matcher, &personal, &salvaged, &registry);
+        assert_eq!(
+            canonical_answers(&oracle, &registry),
+            canonical_answers(&degraded, &registry),
+            "matcher {name} diverged after salvage"
+        );
+    }
+    // The rows those runs cached are right too.
+    assert!(salvaged.store().cached_rows() > 0);
+    assert_cached_rows_are_oracle(&salvaged);
 }
 
 proptest! {

@@ -100,42 +100,6 @@ fn lying_section_count_is_truncated_not_an_allocation_panic() {
 }
 
 #[test]
-fn out_of_range_token_postings_are_corrupt() {
-    // A TOKENS section that checksums fine but references a schema the
-    // snapshot doesn't hold: decode succeeds, validation must object
-    // (the pre-filter path would otherwise index out of bounds later).
-    let (_, bytes) = snapshot_bytes();
-    let table_at = MAGIC.len() + 8;
-    let entry = table_at + 2 * 28; // third entry: TOKENS
-    let offset = u64::from_le_bytes(bytes[entry + 4..entry + 12].try_into().unwrap()) as usize;
-    let len = u64::from_le_bytes(bytes[entry + 12..entry + 20].try_into().unwrap()) as usize;
-    let mut damaged = bytes.clone();
-    let payload = &mut damaged[offset..offset + len];
-    // Walk to the first token's first posting: count, then token
-    // string, then posting count, then (schema, node) pairs.
-    let tokens = u32::from_le_bytes(payload[..4].try_into().unwrap());
-    assert!(tokens > 0, "fixture repository must have postings");
-    let token_len = u32::from_le_bytes(payload[4..8].try_into().unwrap()) as usize;
-    let postings_at = 8 + token_len;
-    let posting_count =
-        u32::from_le_bytes(payload[postings_at..postings_at + 4].try_into().unwrap());
-    assert!(posting_count > 0);
-    let schema_at = postings_at + 4;
-    payload[schema_at..schema_at + 4].copy_from_slice(&999u32.to_le_bytes());
-    let checksum = fnv1a_local(&damaged[offset..offset + len]);
-    damaged[entry + 20..entry + 28].copy_from_slice(&checksum.to_le_bytes());
-    match Repository::load_snapshot(&damaged) {
-        Err(PersistError::Corrupt(why)) => {
-            assert!(
-                why.contains("posting"),
-                "unexpected corruption report: {why}"
-            )
-        }
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
-}
-
-#[test]
 fn corrupted_payload_fails_its_section_checksum() {
     let (_, bytes) = snapshot_bytes();
     // The section table starts after magic+version+count; payloads
@@ -249,10 +213,10 @@ fn fnv1a_local(bytes: &[u8]) -> u64 {
 proptest! {
     /// Round-trip on arbitrary synthetic repositories with arbitrary
     /// warm vocabularies and cache bounds: load(save(repo)) preserves
-    /// schemas, labels, column maps and node shapes, token index,
-    /// config, and every cached row bitwise — and a salvage load whose
-    /// LABELS section is damaged rebuilds the same columns and shapes
-    /// from the schema list.
+    /// schemas, labels, column maps and node shapes, config, and every
+    /// cached row bitwise — and a salvage load whose LABELS section is
+    /// damaged rebuilds the same columns and shapes from the schema
+    /// list.
     #[test]
     fn random_repositories_round_trip_bitwise(
         derived in 1..4usize,
@@ -301,10 +265,6 @@ proptest! {
             prop_assert_eq!(a.schema_shapes(sid), b.schema_shapes(sid));
         }
         prop_assert_eq!(b.columns().len(), loaded.total_elements());
-        prop_assert_eq!(
-            a.token_index().postings().collect::<Vec<_>>(),
-            b.token_index().postings().collect::<Vec<_>>()
-        );
         // Every cached row is restored bitwise and serves without pair
         // evaluations.
         for &q in &queries {

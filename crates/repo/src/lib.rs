@@ -22,8 +22,6 @@
 //!   reference method), plus quality measures,
 //! * [`fragment`] — per-schema fragments induced by a cluster selection:
 //!   the element sets a cluster-restricted matcher is allowed to target,
-//! * [`index`] — a token inverted index, maintained incrementally by
-//!   [`Repository::add`],
 //! * [`filter_index`] — the candidate-generation tier's filter lanes
 //!   and trigram inverted index: admissible per-label upper bounds on
 //!   the name-similarity mix, maintained incrementally on ingest and
@@ -43,7 +41,6 @@ pub mod columns;
 pub mod feature;
 pub mod filter_index;
 pub mod fragment;
-pub mod index;
 pub mod intern;
 pub mod repository;
 pub mod store;
@@ -54,7 +51,6 @@ pub use columns::{ColumnArena, NodeShape};
 pub use feature::{element_features, feature_similarity, query_features, ElementFeatures};
 pub use filter_index::{FilterIndex, FilterProfile, FilterProfileData, QueryFilter, BOUND_EPS};
 pub use fragment::{fragments_for_clusters, Fragment};
-pub use index::TokenIndex;
 pub use intern::{LabelId, LabelInterner};
 pub use repository::{ElementRef, Repository, SchemaId};
 pub use store::{

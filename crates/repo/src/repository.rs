@@ -1,8 +1,8 @@
 //! A repository of XML schemas with global element addressing.
 //!
 //! Every [`Repository::add`] also feeds the repository's
-//! [`LabelStore`] — interner, per-label row-kernel profiles, token
-//! index, and cached score rows — **incrementally**: ingest appends, it
+//! [`LabelStore`] — interner, per-label row-kernel profiles, column
+//! arena, and cached score rows — **incrementally**: ingest appends, it
 //! never rebuilds. The store sits behind an `Arc`, so cloning a
 //! repository (e.g. to construct a `MatchProblem`) shares all
 //! label-level preprocessing and every score row computed so far.
@@ -57,7 +57,7 @@ pub struct Repository {
     /// The schemas, `Arc`-shared across clones; `Arc::make_mut`
     /// detaches on the rare mutate-after-clone.
     schemas: Arc<Vec<Schema>>,
-    /// Derived, append-only state (interner, profiles, token index,
+    /// Derived, append-only state (interner, profiles, column arena,
     /// score rows). `Arc` so clones share it; `Arc::make_mut` detaches
     /// on the rare mutate-after-clone.
     ///
@@ -100,8 +100,7 @@ impl Repository {
     /// Reassemble a repository from a schema list and an already
     /// imported label store — the warm-restart path `smx-persist`'s
     /// snapshot loader uses instead of replaying [`add`](Self::add)
-    /// (which would rebuild profiles, postings, and score rows from
-    /// scratch).
+    /// (which would rebuild profiles and score rows from scratch).
     ///
     /// The store must describe exactly these schemas (imported with
     /// [`LabelStore::import_state`] from an image of them: one column
@@ -135,8 +134,8 @@ impl Repository {
     }
 
     /// Add a schema, returning its id. Updates the label store
-    /// incrementally: new distinct labels are profiled, token postings
-    /// appended — nothing is rebuilt.
+    /// incrementally: new distinct labels are profiled, the schema's
+    /// column slot appended — nothing is rebuilt.
     pub fn add(&mut self, schema: Schema) -> SchemaId {
         let id = SchemaId(self.schemas.len() as u32);
         Arc::make_mut(&mut self.store).add_schema(id, &schema);
@@ -150,9 +149,10 @@ impl Repository {
     /// range or already removed.
     ///
     /// Maintenance is **incremental and targeted**: the removed
-    /// schema's token postings and store column slot are stripped, its
-    /// slot is replaced by an empty placeholder schema (every matcher
-    /// skips empty schemas), and its generation stamp is bumped.
+    /// schema's label→schema postings and store column slot are
+    /// stripped, its slot is replaced by an empty placeholder schema
+    /// (every matcher skips empty schemas), and its generation stamp is
+    /// bumped.
     /// Label-level derived state — interned labels, row-kernel
     /// profiles, cached score rows — is append-only and **never
     /// invalidated**: a cached row is a pure function of its query
@@ -168,7 +168,7 @@ impl Repository {
             let schemas = Arc::make_mut(&mut self.schemas);
             std::mem::replace(&mut schemas[sid.index()], Schema::new(""))
         };
-        Arc::make_mut(&mut self.store).remove_schema(sid, &old);
+        Arc::make_mut(&mut self.store).remove_schema(sid);
         self.elements -= old.len();
         true
     }
@@ -181,18 +181,16 @@ impl Repository {
     /// `sid` is out of range.
     ///
     /// Like [`add`](Self::add), ingest is incremental: new distinct
-    /// labels are profiled and token postings spliced in at their
-    /// sorted positions — nothing is rebuilt, no cached score row is
-    /// invalidated, and a schema with the old one's node count
-    /// overwrites its column slot in place.
+    /// labels are profiled and the slot is spliced back into the
+    /// label→schema postings at its sorted position — nothing is
+    /// rebuilt, no cached score row is invalidated, and a schema with
+    /// the old one's node count overwrites its column slot in place.
     pub fn replace_schema(&mut self, sid: SchemaId, schema: Schema) -> bool {
         if sid.index() >= self.schemas.len() {
             return false;
         }
         let old = std::mem::replace(&mut Arc::make_mut(&mut self.schemas)[sid.index()], schema);
-        let store = Arc::make_mut(&mut self.store);
-        let live = !store.is_removed(sid);
-        store.replace_schema(sid, live.then_some(&old), &self.schemas[sid.index()]);
+        Arc::make_mut(&mut self.store).replace_schema(sid, &self.schemas[sid.index()]);
         self.elements = self.elements - old.len() + self.schemas[sid.index()].len();
         true
     }
@@ -211,15 +209,10 @@ impl Repository {
     }
 
     /// The repository's label store: interner, row-kernel profiles,
-    /// token index, and cached score rows, all maintained by
+    /// column arena, and cached score rows, all maintained by
     /// [`add`](Self::add).
     pub fn store(&self) -> &LabelStore {
         &self.store
-    }
-
-    /// The incremental token inverted index (shortcut into the store).
-    pub fn token_index(&self) -> &crate::TokenIndex {
-        self.store.token_index()
     }
 
     /// Drop the store's cached score rows and memoised candidate-tier

@@ -12,16 +12,16 @@
 //!   ingest,
 //! * the flat [`ColumnArena`]: every schema's per-node label ids (the
 //!   cost-matrix column map) and tree shapes in two contiguous arrays,
-//! * the incremental [`TokenIndex`],
+//! * the label→schema postings: per label, the schemas that contain it,
 //! * a **score-row cache**: for each query label already seen, the dense
 //!   vector of name *distances* to every stored label, computed by one
 //!   [`RowKernel`] sweep and reused by every later query.
 //!
-//! Adding a schema appends: new distinct labels get profiles, postings
-//! are appended, and cached score rows stay valid — they simply cover a
-//! prefix of the grown label list and are *extended* (only the new
-//! columns are evaluated) the next time they are requested. Nothing is
-//! ever rebuilt from scratch.
+//! Adding a schema appends: new distinct labels get profiles, the
+//! schema's id is appended to its labels' postings, and cached score
+//! rows stay valid — they simply cover a prefix of the grown label list
+//! and are *extended* (only the new columns are evaluated) the next
+//! time they are requested. Nothing is ever rebuilt from scratch.
 //!
 //! # Locks and counters
 //!
@@ -39,11 +39,11 @@
 //! [`Repository::remove_schema`](crate::Repository::remove_schema) and
 //! [`Repository::replace_schema`](crate::Repository::replace_schema)
 //! mutate a live repository **incrementally**: removal strips exactly
-//! the removed schema's tokens from the [`TokenIndex`] and its id from
-//! the label→schema postings, tombstones the slot (ids stay stable —
-//! a tombstoned slot holds an empty schema every matcher naturally
-//! skips), and bumps the slot's generation; replace re-ingests into the
-//! same slot at its sorted posting positions. Nothing is rebuilt.
+//! the removed schema's id from the label→schema postings, tombstones
+//! the slot (ids stay stable — a tombstoned slot holds an empty schema
+//! every matcher naturally skips), and bumps the slot's generation;
+//! replace re-ingests into the same slot at its sorted posting
+//! positions. Nothing is rebuilt.
 //!
 //! Cached score rows are **never invalidated** by mutations, by design:
 //! label-level state (interner, profiles, prefix fingerprints) is
@@ -124,8 +124,8 @@
 //! are byte-for-byte the rows that were evicted, so they are bitwise
 //! identical to recompute. [`LabelStore::export_state`] /
 //! [`LabelStore::import_state`] snapshot and restore the whole hot state
-//! (labels, per-schema label columns, token index, cached rows in LRU
-//! order) for warm restarts.
+//! (labels, per-schema label columns, cached rows in LRU order) for
+//! warm restarts.
 //!
 //! # Score-identity contract
 //!
@@ -147,9 +147,8 @@
 use crate::bound_rows::{BoundMemo, BoundRow};
 use crate::columns::{ColumnArena, NodeShape};
 use crate::filter_index::{FilterIndex, FilterProfileData, QueryFilter};
-use crate::index::TokenIndex;
 use crate::intern::{LabelId, LabelInterner};
-use crate::repository::{ElementRef, SchemaId};
+use crate::repository::SchemaId;
 use parking_lot::RwLock;
 use smx_text::{KernelVariant, LabelProfile, RowKernel};
 use smx_xml::Schema;
@@ -333,8 +332,6 @@ pub struct StoreState {
     pub labels: Vec<String>,
     /// Per schema (by id), the label id of each node in arena order.
     pub schema_labels: Vec<Vec<u32>>,
-    /// The token inverted index as `(token, postings)` pairs.
-    pub postings: Vec<(String, Vec<ElementRef>)>,
     /// Cached score rows as `(query, distances)`, least recently used
     /// first — import re-stamps them in order, preserving LRU behaviour
     /// across a restart.
@@ -615,8 +612,8 @@ struct SubsetStats {
     pair_evals: u64,
 }
 
-/// Interner, per-label profiles, token index, and cached score rows for
-/// one repository. Obtained via
+/// Interner, per-label profiles, column arena, and cached score rows
+/// for one repository. Obtained via
 /// [`Repository::store`](crate::Repository::store).
 pub struct LabelStore {
     interner: LabelInterner,
@@ -636,7 +633,6 @@ pub struct LabelStore {
     /// (schema, label) pair. Derived state, maintained at ingest and
     /// rebuilt on import.
     label_schemas: Vec<Vec<SchemaId>>,
-    index: TokenIndex,
     /// Candidate-generation filter lanes and trigram postings, one
     /// entry per label — maintained in lock-step with `profiles` at
     /// ingest.
@@ -702,7 +698,6 @@ impl LabelStore {
             prefix_hashes: vec![FNV_OFFSET],
             columns: ColumnArena::new(),
             label_schemas: Vec::new(),
-            index: TokenIndex::default(),
             filters: FilterIndex::new(),
             removed: Vec::new(),
             generations: Vec::new(),
@@ -754,9 +749,9 @@ impl LabelStore {
     }
 
     /// Ingest one schema: intern its labels (building profiles only for
-    /// labels never seen before), append its column slot, append its
-    /// token postings. Called by `Repository::add` with the id the
-    /// schema gets; ids must arrive densely in order.
+    /// labels never seen before), append its id to their label→schema
+    /// postings, and append its column slot. Called by `Repository::add`
+    /// with the id the schema gets; ids must arrive densely in order.
     pub(crate) fn add_schema(&mut self, sid: SchemaId, schema: &Schema) {
         debug_assert_eq!(sid.index(), self.columns.slots());
         let labels = self.intern_schema_labels(schema);
@@ -771,7 +766,6 @@ impl LabelStore {
         self.columns.push(labels, schema);
         self.removed.push(false);
         self.generations.push(0);
-        self.index.add_schema(sid, schema);
     }
 
     /// Intern `schema`'s labels, building profiles, filter lanes, and
@@ -807,14 +801,12 @@ impl LabelStore {
         labels
     }
 
-    /// Strip live slot `sid` — holding `schema` — from the token index
-    /// and the label→schema postings (targeted: only its own tokens and
-    /// labels are touched, nothing is rebuilt), bump its generation, and
-    /// count the removal. Its column slot is left for the caller to
-    /// clear or overwrite.
-    fn unlink_schema(&mut self, sid: SchemaId, schema: &Schema) {
+    /// Strip live slot `sid` from the label→schema postings (targeted:
+    /// only its own labels are touched, nothing is rebuilt), bump its
+    /// generation, and count the removal. Its column slot is left for
+    /// the caller to clear or overwrite.
+    fn unlink_schema(&mut self, sid: SchemaId) {
         debug_assert!(!self.removed[sid.index()], "slot already tombstoned");
-        debug_assert_eq!(self.columns.labels(sid).len(), schema.len());
         // A label the schema repeats finds `sid` already gone.
         for &lid in self.columns.labels(sid) {
             let postings = &mut self.label_schemas[lid.index()];
@@ -822,7 +814,6 @@ impl LabelStore {
                 postings.remove(pos);
             }
         }
-        self.index.remove_schema(sid, schema);
         self.generations[sid.index()] += 1;
         self.counters.schema_removes.fetch_add(1, Relaxed);
         if smx_obs::enabled() {
@@ -830,9 +821,8 @@ impl LabelStore {
         }
     }
 
-    /// Remove schema `sid`: unlink it from the token index and the
-    /// label→schema postings, splice its column slot empty, and
-    /// tombstone the slot. `schema` must be the schema the slot held.
+    /// Remove live schema `sid`: unlink it from the label→schema
+    /// postings, splice its column slot empty, and tombstone the slot.
     /// Called by
     /// [`Repository::remove_schema`](crate::Repository::remove_schema).
     ///
@@ -845,25 +835,23 @@ impl LabelStore {
     /// matrix-build time through the (immediately updated) column arena
     /// and postings, so stale rows cannot leak removed schemas into
     /// answers.
-    pub(crate) fn remove_schema(&mut self, sid: SchemaId, schema: &Schema) {
-        self.unlink_schema(sid, schema);
+    pub(crate) fn remove_schema(&mut self, sid: SchemaId) {
+        self.unlink_schema(sid);
         self.columns.clear(sid);
         self.removed[sid.index()] = true;
     }
 
-    /// Make slot `sid` hold `schema`. `old` is the schema a live slot
-    /// held — it is unlinked first, exactly as a removal would, so a
-    /// live replace still bumps the generation twice — or `None` for a
-    /// tombstone. Then `schema`'s labels are interned (new distinct
-    /// labels append, exactly like ingest), the slot is spliced back into
-    /// the label→schema postings and token index at its sorted position,
-    /// and its column slot is written once: in place when the node count
-    /// is unchanged. Called by
+    /// Make slot `sid` hold `schema`. A live slot is unlinked first,
+    /// exactly as a removal would, so a live replace still bumps the
+    /// generation twice; a tombstone is simply revived. Then `schema`'s
+    /// labels are interned (new distinct labels append, exactly like
+    /// ingest), the slot is spliced back into the label→schema postings
+    /// at its sorted position, and its column slot is written once: in
+    /// place when the node count is unchanged. Called by
     /// [`Repository::replace_schema`](crate::Repository::replace_schema).
-    pub(crate) fn replace_schema(&mut self, sid: SchemaId, old: Option<&Schema>, schema: &Schema) {
-        match old {
-            Some(old) => self.unlink_schema(sid, old),
-            None => debug_assert!(self.removed[sid.index()], "slot must be tombstoned"),
+    pub(crate) fn replace_schema(&mut self, sid: SchemaId, schema: &Schema) {
+        if !self.removed[sid.index()] {
+            self.unlink_schema(sid);
         }
         let labels = self.intern_schema_labels(schema);
         // A label the schema repeats finds `sid` already present.
@@ -874,7 +862,6 @@ impl LabelStore {
             }
         }
         self.columns.write(sid, &labels, schema);
-        self.index.insert_schema_sorted(sid, schema);
         self.removed[sid.index()] = false;
         self.generations[sid.index()] += 1;
         self.counters.schema_replaces.fetch_add(1, Relaxed);
@@ -963,11 +950,6 @@ impl LabelStore {
     /// (schema, label) pair in the repository.
     pub fn schemas_with_label(&self, id: LabelId) -> &[SchemaId] {
         &self.label_schemas[id.index()]
-    }
-
-    /// The incremental token inverted index.
-    pub fn token_index(&self) -> &TokenIndex {
-        &self.index
     }
 
     /// The candidate-generation filter index (per-label filter lanes
@@ -1692,8 +1674,8 @@ impl LabelStore {
     }
 
     /// Snapshot the store's hot state — interned labels, per-schema
-    /// label columns, token index, cached score rows in LRU order, and the
-    /// cache configuration — as plain data for `smx-persist` to encode.
+    /// label columns, cached score rows in LRU order, and the cache
+    /// configuration — as plain data for `smx-persist` to encode.
     ///
     /// Taken under the exclusive row lock, so the row image is
     /// internally consistent even while concurrent matchers fill rows.
@@ -1730,11 +1712,6 @@ impl LabelStore {
                         .map(|id| id.0)
                         .collect()
                 })
-                .collect(),
-            postings: self
-                .index
-                .postings()
-                .map(|(token, elements)| (token.to_owned(), elements.to_vec()))
                 .collect(),
             rows: rows
                 .into_iter()
@@ -1855,7 +1832,6 @@ impl LabelStore {
             prefix_hashes,
             columns,
             label_schemas,
-            index: TokenIndex::from_postings(state.postings),
             filters,
             removed,
             generations,
@@ -1904,7 +1880,6 @@ impl Clone for LabelStore {
             prefix_hashes: self.prefix_hashes.clone(),
             columns: self.columns.clone(),
             label_schemas: self.label_schemas.clone(),
-            index: self.index.clone(),
             filters: self.filters.clone(),
             removed: self.removed.clone(),
             generations: self.generations.clone(),
@@ -2451,10 +2426,6 @@ mod tests {
         // Labels come from the image, shapes are rebuilt from the
         // schemas: both equal the live store's.
         assert_eq!(imported.columns(), store.columns());
-        assert_eq!(
-            imported.token_index().postings().count(),
-            store.token_index().postings().count()
-        );
         // Restored rows serve bitwise-identically with zero pair evals.
         for query in ["orderTitle", "title"] {
             let a = store.score_row(query);
@@ -2518,18 +2489,12 @@ mod tests {
         let mut r = repo();
         let sid = SchemaId(0);
         assert_eq!(r.live_schemas(), 2);
-        assert!(!r.token_index().lookup("book").is_empty());
         assert!(r.remove_schema(sid));
         assert!(!r.remove_schema(sid), "double remove must report false");
         assert!(r.is_removed(sid));
         assert_eq!(r.live_schemas(), 1);
         assert_eq!(r.len(), 2, "slot stays — ids remain stable");
         assert_eq!(r.schema(sid).len(), 0, "tombstone is an empty schema");
-        // "book"/"bib" only appeared in schema 0 — their postings are
-        // gone; "title" survives via schema 1.
-        assert!(r.token_index().lookup("book").is_empty());
-        assert!(r.token_index().lookup("bib").is_empty());
-        assert_eq!(r.token_index().lookup("title").len(), 1);
         let store = r.store();
         assert!(store.schema_labels(sid).is_empty());
         // Labels are append-only: "bib" and "book" are orphaned, not
@@ -2566,13 +2531,6 @@ mod tests {
         assert!(!r.is_removed(sid));
         assert_eq!(r.live_schemas(), 2);
         assert_eq!(r.schema(sid).name(), "shop2");
-        // New tokens indexed, old ones gone.
-        assert_eq!(r.token_index().lookup("warehouse").len(), 1);
-        assert!(r
-            .token_index()
-            .lookup("shop")
-            .iter()
-            .all(|e| e.schema != sid));
         let store = r.store();
         // remove + reingest = two generation bumps.
         assert_eq!(store.schema_generation(sid), 2);
@@ -2613,20 +2571,7 @@ mod tests {
             }
         }
         assert_eq!(mutated.total_elements(), fresh.total_elements());
-        // Token postings identical to the rebuild (sorted insert = the
-        // incremental-equals-rebuild contract under mutation)...
-        for tok in fresh.token_index().tokens() {
-            assert_eq!(
-                mutated.token_index().lookup(tok),
-                fresh.token_index().lookup(tok),
-                "{tok}"
-            );
-        }
-        assert_eq!(
-            mutated.token_index().vocabulary_size(),
-            fresh.token_index().vocabulary_size()
-        );
-        // ...column maps resolve to identical label text...
+        // Column maps resolve to identical label text...
         for sid in mutated.schema_ids() {
             let (ms, fs) = (mutated.store(), fresh.store());
             let names = |store: &LabelStore, sid| {

@@ -1,5 +1,5 @@
 //! Warm restart: snapshot a serving repository — schemas plus the label
-//! store's hot state (profiles, token index, cached score rows) — shut
+//! store's hot state (labels, column maps, cached score rows) — shut
 //! "the process" down, load the snapshot, and keep serving with zero
 //! recompute and bitwise-identical answers. Also shows the eviction
 //! spill file: a bounded row cache that trades memory for disk instead

@@ -24,13 +24,17 @@
 #      snapshot, loads it, asserts the loaded repository matches
 #      bitwise, and salvage-loads a deliberately rotten snapshot (it
 #      exits non-zero on any divergence)
-#   9. fault-injection suites, run explicitly and named in the output:
+#   9. persistence suites, run explicitly and named in the output:
 #      the crash matrix (a simulated crash at every I/O op and write
 #      byte of a snapshot save / spill compaction leaves old-or-new,
 #      never a hybrid), the chaos gate (randomized fault plans never
-#      change any matcher's answers), and the spill-compaction
-#      properties. They also run inside step 4; this step exists so a
-#      durability regression is named as such, not buried in the suite.
+#      change any matcher's answers), the spill-compaction properties,
+#      and the snapshot-format gates: failure paths (every damaged
+#      snapshot fails with a typed error; random repositories round-trip
+#      bitwise) and persist identity (loaded snapshots answer bitwise
+#      like the saved repository, across all matchers). They also run
+#      inside step 4; this step exists so a durability or format
+#      regression is named as such, not buried in the suite.
 #  10. certified candidate-tier suites, likewise named: the
 #      differential suite (candidate-restricted answers bitwise equal
 #      to the exhaustive oracle's, certificates admissible across
@@ -148,8 +152,9 @@ cargo bench -p smx-bench --no-run
 echo "== [8/15] snapshot round-trip smoke (examples/warm_restart)"
 cargo run --release --example warm_restart >/dev/null
 
-echo "== [9/15] fault-injection suites (crash matrix, chaos, spill compaction)"
-named_suites -p smx-persist --test crash_matrix --test chaos --test spill_compaction
+echo "== [9/15] persistence suites (crash matrix, chaos, spill compaction, failure paths, persist identity)"
+named_suites -p smx-persist --test crash_matrix --test chaos --test spill_compaction \
+  --test failure_paths --test persist_identity
 
 echo "== [10/15] certified candidate-tier suites (differential, bound admissibility)"
 named_suites -p smx-match --test candidate_differential --test bound_admissibility
