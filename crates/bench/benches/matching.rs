@@ -37,7 +37,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smx::matching::{
     BatchMatcher, BatchProblem, BeamMatcher, CandidateConfig, CandidateGenerator, CertifiedMatcher,
     ClusterMatcher, ExhaustiveMatcher, MappingRegistry, MatchProblem, Matcher, ObjectiveFunction,
-    ParallelExhaustiveMatcher, Pipeline, TopKMatcher,
+    Pipeline, TopKMatcher,
 };
 use smx::persist::{RecoveryPolicy, Snapshot};
 use smx::repo::Repository;
@@ -96,13 +96,6 @@ fn bench_matchers(c: &mut Criterion) {
             Box::new(ExhaustiveMatcher::direct(ObjectiveFunction::default())),
         ),
         ("s1_exhaustive", Box::new(ExhaustiveMatcher::default())),
-        (
-            "s1_parallel",
-            Box::new(ParallelExhaustiveMatcher::new(
-                ObjectiveFunction::default(),
-                4,
-            )),
-        ),
         (
             "s2_beam32",
             Box::new(BeamMatcher::new(ObjectiveFunction::default(), 32)),

@@ -29,7 +29,7 @@
 //! scores and, under sequential dispatch with a shared registry, even
 //! answer ids — to running each problem alone through the same
 //! matcher. `tests/batch_identity.rs` gates this differentially across
-//! all six matchers. Threaded dispatch can intern mappings in a
+//! every roster matcher. Threaded dispatch can intern mappings in a
 //! different order, so only ids may differ there; resolved mappings
 //! and scores still match bitwise.
 //!

@@ -16,6 +16,12 @@ use smx_eval::{AnswerId, AnswerSet};
 use smx_xml::NodeId;
 
 /// Beam-search matcher with a fixed beam width per schema.
+///
+/// To use the beam as an *intermediate* pipeline filter instead of a
+/// refine stage — keep only schemas where the beam finds an answer,
+/// then refine those exhaustively — compose a
+/// [`BeamFilter`](crate::pipeline::BeamFilter) stage, which charges the
+/// certificate for the schemas it drops.
 #[derive(Debug, Clone)]
 pub struct BeamMatcher {
     objective: ObjectiveFunction,
@@ -34,18 +40,6 @@ impl BeamMatcher {
     /// The beam width.
     pub fn width(&self) -> usize {
         self.width
-    }
-}
-
-impl BeamMatcher {
-    /// Lift into a terminal [`pipeline`](crate::pipeline) refine stage.
-    /// To use the beam as an *intermediate* filter instead — keep only
-    /// schemas where the beam finds an answer, then refine those
-    /// exhaustively — compose a
-    /// [`BeamFilter`](crate::pipeline::BeamFilter) stage, which charges
-    /// the certificate for the schemas it drops.
-    pub fn into_refine_stage(self) -> crate::pipeline::RefineStage<Self> {
-        crate::pipeline::RefineStage::new(self)
     }
 }
 

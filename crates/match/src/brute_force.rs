@@ -46,15 +46,6 @@ impl BruteForceMatcher {
     }
 }
 
-impl BruteForceMatcher {
-    /// Lift into a terminal [`pipeline`](crate::pipeline) refine stage
-    /// (mostly useful to differential-test pipelines against the
-    /// no-pruning reference).
-    pub fn into_refine_stage(self) -> crate::pipeline::RefineStage<Self> {
-        crate::pipeline::RefineStage::new(self)
-    }
-}
-
 impl Matcher for BruteForceMatcher {
     fn name(&self) -> &str {
         "brute-force"

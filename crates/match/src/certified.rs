@@ -28,8 +28,8 @@
 //! **Soundness scope.** The certificate bounds the loss *introduced by
 //! the restriction*. That equals the total loss vs the exhaustive
 //! oracle exactly when the inner matcher is complete on the restricted
-//! problem ([`ExhaustiveMatcher`](crate::exhaustive::ExhaustiveMatcher),
-//! its parallel twin, or the brute-force reference). Wrapping a lossy
+//! problem ([`ExhaustiveMatcher`](crate::exhaustive::ExhaustiveMatcher)
+//! or the brute-force reference). Wrapping a lossy
 //! S2 heuristic (beam, cluster, top-k) still works — the answers stay a
 //! subset of the oracle with identical scores — but the heuristic's own
 //! losses are *not* covered by the bound; only the tier's pruning is.

@@ -18,6 +18,11 @@ use smx_repo::{fragments_for_clusters, greedy_clustering, query_features, Fragme
 use smx_xml::NodeId;
 
 /// Cluster-restricted matcher.
+///
+/// As a pipeline refine stage
+/// ([`RefineStage::new`](crate::pipeline::RefineStage::new)), cluster
+/// ranking stays global (it reads the whole repository); the upstream
+/// filters only decide which fragments may answer.
 #[derive(Debug, Clone)]
 pub struct ClusterMatcher {
     objective: ObjectiveFunction,
@@ -41,15 +46,6 @@ impl ClusterMatcher {
     /// Number of clusters searched.
     pub fn fragments(&self) -> usize {
         self.fragments
-    }
-}
-
-impl ClusterMatcher {
-    /// Lift into a terminal [`pipeline`](crate::pipeline) refine stage.
-    /// Cluster ranking stays global (it reads the whole repository);
-    /// the upstream filters only decide which fragments may answer.
-    pub fn into_refine_stage(self) -> crate::pipeline::RefineStage<Self> {
-        crate::pipeline::RefineStage::new(self)
     }
 }
 

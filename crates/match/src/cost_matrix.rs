@@ -310,10 +310,11 @@ impl CostMatrix {
         } else {
             if !missing.is_empty() {
                 // A candidate-restricted problem scores only the label
-                // columns its active schemas reference: missing rows come
-                // back as coverage-masked partial rows (every column an
-                // active schema's fill reads is covered, and covered
-                // positions are bitwise identical to a full sweep's).
+                // columns its active schemas reference, strictly
+                // ascending: missing rows come back from the store's
+                // subset path (every column an active schema's fill reads
+                // is covered, and covered positions are bitwise identical
+                // to a full sweep's).
                 let fetched = match problem.active_set() {
                     None => store.score_rows(&missing),
                     Some(active) => {

@@ -69,8 +69,7 @@ impl ExhaustiveMatcher {
     }
 
     /// Search one repository schema, appending `(id, score)` pairs.
-    /// Exposed crate-internally so the parallel matcher can reuse it.
-    pub(crate) fn search_schema(
+    fn search_schema(
         &self,
         problem: &MatchProblem,
         sid: SchemaId,
@@ -197,20 +196,11 @@ impl ExhaustiveMatcher {
     }
 
     /// The matrix to search with (`None` in direct mode).
-    pub(crate) fn engine(&self, problem: &MatchProblem) -> Option<std::sync::Arc<CostMatrix>> {
+    fn engine(&self, problem: &MatchProblem) -> Option<std::sync::Arc<CostMatrix>> {
         match self.mode {
             ScoringMode::Precomputed => Some(problem.cost_matrix(&self.objective)),
             ScoringMode::Direct => None,
         }
-    }
-}
-
-impl ExhaustiveMatcher {
-    /// Lift S1 into a terminal [`pipeline`](crate::pipeline) refine
-    /// stage — the usual "exhaustive on the survivors" tail of a
-    /// filter→refine process.
-    pub fn into_refine_stage(self) -> crate::pipeline::RefineStage<Self> {
-        crate::pipeline::RefineStage::new(self)
     }
 }
 

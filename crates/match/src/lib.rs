@@ -24,8 +24,6 @@
 //! * [`topk`] — \[17\]-style early termination: exactly the top-k answers;
 //! * [`sampler`] — the per-increment random selector of §3.4, used to
 //!   validate Equations (9)–(10) empirically;
-//! * [`parallel`] — scoped-thread work-stealing version of S1 (identical
-//!   output, faster wall-clock);
 //! * [`batch`] — the bulk serving path: N personal schemas against one
 //!   repository, distinct labels deduped across the batch and swept in
 //!   one pass over the stored label profiles, then any matcher above
@@ -102,7 +100,7 @@
 //! and their suffix sums (the admissible branch-and-bound bounds) are
 //! then plain `Vec<f64>` lookups. The engine lives behind a `OnceLock`
 //! in the problem, so post-initialisation reads are lock-free and
-//! allocation-free — safe to share across the parallel matcher's
+//! allocation-free — safe to share across the batch dispatcher's
 //! workers.
 //!
 //! **Score-identity invariant.** The bounds methodology requires S1 and
@@ -134,7 +132,6 @@ pub mod exhaustive;
 pub mod mapping;
 pub mod matcher;
 pub mod objective;
-pub mod parallel;
 pub mod pipeline;
 pub mod problem;
 pub mod sampler;
@@ -154,7 +151,6 @@ pub use exhaustive::{ExhaustiveMatcher, ScoringMode};
 pub use mapping::{Mapping, MappingRegistry};
 pub use matcher::Matcher;
 pub use objective::{ObjectiveConfig, ObjectiveFunction};
-pub use parallel::ParallelExhaustiveMatcher;
 pub use pipeline::{
     BeamFilter, CandidateFilter, Pipeline, PipelineAnswer, PipelineBuilder, PipelineCertificate,
     PredicateId, RefineStage, SizeFilter, Stage, StageContext, StageKind, StageOutput, StageReport,

@@ -600,15 +600,6 @@ impl Pipeline {
             .collect()
     }
 
-    /// Algebraic kinds of all stages, filters first, terminal last.
-    pub fn stage_kinds(&self) -> Vec<StageKind> {
-        self.filters
-            .iter()
-            .map(|s| s.kind())
-            .chain(std::iter::once(self.terminal.kind()))
-            .collect()
-    }
-
     /// Run the pipeline and return answers plus the composed
     /// certificate.
     pub fn run_certified(

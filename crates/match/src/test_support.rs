@@ -7,7 +7,7 @@
 //! carry its own copy of the matcher roster and the bitwise-comparison
 //! helpers; they live here now so every suite sees the same roster and
 //! a new matching system — the composable [`pipeline`](crate::pipeline)
-//! was the seventh — is covered by all of them the day it lands.
+//! was the latest — is covered by all of them the day it lands.
 //!
 //! Everything here is plain library code (no `#[cfg(test)]`): the
 //! persistence crate's integration tests link against it as an ordinary
@@ -20,7 +20,6 @@ use crate::exhaustive::ExhaustiveMatcher;
 use crate::mapping::{Mapping, MappingRegistry};
 use crate::matcher::Matcher;
 use crate::objective::ObjectiveFunction;
-use crate::parallel::ParallelExhaustiveMatcher;
 use crate::pipeline::Pipeline;
 use crate::problem::MatchProblem;
 use crate::topk::TopKMatcher;
@@ -28,17 +27,13 @@ use smx_eval::AnswerSet;
 use smx_repo::Repository;
 use smx_xml::Schema;
 
-/// The canonical roster: all six matching systems, plus a composed
+/// The canonical roster: all five matching systems, plus a composed
 /// filter→refine [`Pipeline`] so declarative pipelines ride through
 /// every differential suite exactly like the monolithic matchers.
 pub fn all_matchers() -> Vec<(&'static str, Box<dyn Matcher + Sync>)> {
     let objective = ObjectiveFunction::default;
     vec![
         ("exhaustive", Box::new(ExhaustiveMatcher::new(objective()))),
-        (
-            "parallel",
-            Box::new(ParallelExhaustiveMatcher::new(objective(), 3)),
-        ),
         ("brute-force", Box::new(BruteForceMatcher::new(objective()))),
         ("beam", Box::new(BeamMatcher::new(objective(), 16))),
         (
@@ -59,13 +54,13 @@ pub fn all_matchers() -> Vec<(&'static str, Box<dyn Matcher + Sync>)> {
 }
 
 /// Roster names whose matcher is *complete* on the problem it is handed
-/// (finds every answer under the threshold): the exhaustive searcher,
-/// its parallel twin, and the no-pruning reference. Suites that assert
+/// (finds every answer under the threshold): the exhaustive searcher
+/// and the no-pruning reference. Suites that assert
 /// `certified_recall ≤ measured recall vs the oracle` must restrict
 /// themselves to these — for the lossy heuristics the certificate only
 /// covers the candidate tier's pruning, not the heuristic's own losses.
 pub fn complete_matcher_names() -> &'static [&'static str] {
-    &["exhaustive", "parallel", "brute-force"]
+    &["exhaustive", "brute-force"]
 }
 
 /// Registry-independent canonical answers with bitwise score keys:

@@ -44,6 +44,13 @@ impl Ord for Held {
 }
 
 /// Top-k early-termination matcher.
+///
+/// As a pipeline refine stage
+/// ([`RefineStage::new`](crate::pipeline::RefineStage::new)), the
+/// dynamic budget stays *global* across the surviving schemas, so
+/// upstream pruning can promote deeper-ranked answers into the top k —
+/// see the certified-matrix suite for what the certificate does and
+/// does not claim here.
 #[derive(Debug, Clone)]
 pub struct TopKMatcher {
     objective: ObjectiveFunction,
@@ -62,17 +69,6 @@ impl TopKMatcher {
     /// The result-list size.
     pub fn k(&self) -> usize {
         self.k
-    }
-}
-
-impl TopKMatcher {
-    /// Lift into a terminal [`pipeline`](crate::pipeline) refine stage.
-    /// Note the dynamic budget stays *global* across the surviving
-    /// schemas, so upstream pruning can promote deeper-ranked answers
-    /// into the top k — see the certified-matrix suite for what the
-    /// certificate does and does not claim here.
-    pub fn into_refine_stage(self) -> crate::pipeline::RefineStage<Self> {
-        crate::pipeline::RefineStage::new(self)
     }
 }
 

@@ -6,7 +6,7 @@
 //! The matcher roster and the canonical/bitwise helpers come from
 //! [`smx_match::test_support`], shared with the candidate-differential
 //! and persistence-chaos suites — so the composed pipeline system is
-//! exercised here exactly like the six monolithic matchers.
+//! exercised here exactly like the five monolithic matchers.
 
 use smx_eval::AnswerSet;
 use smx_match::test_support::{all_matchers, canonical_answers, run_matcher};

@@ -36,11 +36,6 @@ fn all_matchers_report_bitwise_direct_scores() {
             ExhaustiveMatcher::default().run(&problem, delta_max, &registry),
         ),
         (
-            "parallel",
-            ParallelExhaustiveMatcher::new(ObjectiveFunction::default(), 3)
-                .run(&problem, delta_max, &registry),
-        ),
-        (
             "brute_force",
             BruteForceMatcher::default().run(&problem, delta_max, &registry),
         ),

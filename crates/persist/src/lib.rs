@@ -44,7 +44,7 @@
 //! | 1  | schemas    | every repository schema: name, arena nodes (name, kind, type, occurs, parent) |
 //! | 2  | labels     | distinct labels in `LabelId` order + per-schema label-id column maps |
 //! | 3  | *retired*  | version 1's token inverted index: in a version-1 snapshot it is checksummed like any unknown id and never decoded; the id is never reused |
-//! | 4  | rows       | cached score rows `(query, f64 bits…)`, least recently used first |
+//! | 4  | rows       | each cached score row's covered leading run `(query, f64 bits…)`, least recently used first |
 //! | 5  | config     | `StoreConfig`: cache bound + sweep worker count |
 //! | 6  | filters    | candidate-generation filter lanes (`FilterProfileData` per label, id order) — **optional/additive**: absent in pre-filter snapshots, rebuilt from labels |
 //! | 7  | tombstones | per-slot `(removed, generation)` — **optional/additive**: absent in pre-mutability snapshots, which load all-live |
@@ -117,10 +117,13 @@
 //!   [`RecoveryPolicy::Salvage`], damage to a *derived* section
 //!   degrades instead of failing: labels are rebuilt by replaying the
 //!   (intact) schemas, cached rows are dropped to a cold store, filter
-//!   lanes are rebuilt from the labels, config falls back to defaults.
-//!   A label replay matches the lost label ids only for a store never
-//!   mutated, so after a remove or replace it drops the cached rows
-//!   and rebuilds the filter lanes too. Each action is recorded as a
+//!   lanes are rebuilt from the labels, config falls back to defaults,
+//!   and lost tombstones load every slot live at generation 1 (the
+//!   mutation history is unknown, so the store stops claiming an
+//!   add-only one). A label replay matches the lost label ids only for
+//!   a store never mutated, so after a remove or replace — or after a
+//!   tombstone loss — it drops the cached rows and rebuilds the filter
+//!   lanes too. Each action is recorded as a
 //!   [`SalvageEvent`] in the returned [`SnapshotReport`] and stamped
 //!   on the store's health. Only the SCHEMAS section is load-bearing:
 //!   it is the one source of truth the rest can be rebuilt from, so

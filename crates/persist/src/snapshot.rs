@@ -155,11 +155,14 @@ pub enum SalvageEvent {
     FiltersRebuilt(Damage),
     /// TOMBSTONES was damaged (checksum, decode, or a slot count that
     /// contradicts the schema list); every slot was marked live at
-    /// generation 0. Removed slots persist as empty placeholder
-    /// schemas, which every matcher skips — so match answers stay
-    /// bitwise identical; only `live_schemas()` accounting and
-    /// generation stamps degrade. A snapshot that *predates* the
-    /// section loads all-live silently, without this event.
+    /// generation 1. The mutation history is unknown, so no slot claims
+    /// generation 0: the store's next snapshot must not pass for an
+    /// add-only history, whose LABELS a later salvage would trust a
+    /// replay of. Removed slots persist as empty placeholder schemas,
+    /// which every matcher skips — so match answers stay bitwise
+    /// identical; only `live_schemas()` accounting and generation
+    /// stamps degrade. A snapshot that *predates* the section loads
+    /// all-live at generation 0 silently, without this event.
     TombstonesDropped(Damage),
 }
 
@@ -179,7 +182,7 @@ impl fmt::Display for SalvageEvent {
                 write!(f, "FILTERS {d}: filter lanes rebuilt from labels")
             }
             SalvageEvent::TombstonesDropped(d) => {
-                write!(f, "TOMBSTONES {d}: all slots marked live at generation 0")
+                write!(f, "TOMBSTONES {d}: all slots marked live at generation 1")
             }
         }
     }
@@ -419,7 +422,9 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
 /// * ROWS → dropped; the store restarts cold and re-sweeps on demand.
 /// * CONFIG → defaults.
 /// * FILTERS → rebuilt from the label text.
-/// * TOMBSTONES → every slot live at generation 0.
+/// * TOMBSTONES → every slot live at generation 1, since the history
+///   is unknown; only an absent section (a pre-mutability writer)
+///   loads at generation 0.
 fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistError> {
     let sections = read_section_table_lenient(bytes)?;
     let payload = |id: u32| -> Result<&[u8], Damage> {
@@ -482,14 +487,19 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
         ids_kept && f.len() == labels.len()
     });
     let filters = report.salvaged(section::FILTERS, filters, SalvageEvent::FiltersRebuilt);
-    // Damaged tombstones load every slot live at generation 0. Match
-    // answers are unaffected (removed slots persist as empty schemas
-    // every matcher skips); only liveness accounting degrades.
-    let tombstones = report.salvaged(
-        section::TOMBSTONES,
-        tombstones,
-        SalvageEvent::TombstonesDropped,
-    );
+    // Damaged tombstones load every slot live at generation 1: the
+    // history is lost, so the next snapshot must not read as add-only.
+    // Match answers are unaffected (removed slots persist as empty
+    // schemas every matcher skips); only liveness accounting degrades.
+    // An absent section (a pre-mutability writer) loads at generation 0.
+    let damaged = tombstones.as_ref().is_err_and(|d| *d != Damage::Missing);
+    let tombstones = report
+        .salvaged(
+            section::TOMBSTONES,
+            tombstones,
+            SalvageEvent::TombstonesDropped,
+        )
+        .or_else(|| damaged.then(|| vec![(false, 1); schemas.len()]));
 
     let state = StoreState {
         labels,

@@ -1,9 +1,10 @@
 //! The chaos gate: under *any* deterministic fault plan injected into
 //! the persistence seam — failed writes, torn writes, bit flips,
-//! full crashes — the system must degrade, never diverge. Every one of
-//! the six matching systems must return answers **bitwise identical**
-//! to a fault-free oracle run, no operation may panic, and the damage
-//! must be visible through `LabelStore::health`, not silently absorbed.
+//! full crashes — the system must degrade, never diverge. Every roster
+//! matcher (five matching systems and a pipeline) must return answers
+//! **bitwise identical** to a fault-free oracle run, no operation may
+//! panic, and the damage must be visible through `LabelStore::health`,
+//! not silently absorbed.
 //!
 //! The spill sink is best-effort by contract, which is exactly what
 //! makes this provable: a fault can only ever cost recompute work, and
@@ -11,9 +12,9 @@
 //! contract). The proptest drives randomized fault plans against
 //! randomized query interleavings; the deterministic battery pins the
 //! interesting plans (crash-at-op, torn record, flipped bit) against
-//! all six matchers; the salvage storm flips bits in every snapshot
-//! section and checks the Salvage policy reports the damage precisely
-//! while still answering identically.
+//! all six roster matchers; the salvage storm flips bits in every
+//! snapshot section and checks the Salvage policy reports the damage
+//! precisely while still answering identically.
 
 use proptest::prelude::*;
 use smx_eval::AnswerSet;
@@ -224,7 +225,7 @@ fn salvage_storm_reports_each_damaged_section_and_answers_identically() {
         assert!(!salvaged.store().health().is_healthy());
 
         // And the degraded repository still answers bitwise identically
-        // across all six matchers — salvage costs recompute, never
+        // across every roster matcher — salvage costs recompute, never
         // correctness.
         for (name, matcher) in all_matchers() {
             let registry = MappingRegistry::new();
@@ -334,12 +335,12 @@ fn assert_cached_rows_are_oracle(repo: &Repository) {
     }
 }
 
-#[test]
-fn salvaged_labels_after_a_replace_keep_no_row_under_a_wrong_label_id() {
-    // Slot 0 holds `alpha`, slot 1 `betaGamma`. Replacing slot 0 with a
-    // `betaGamma` root over an `alpha` leaf interns nothing new, so the
-    // live label list stays [alpha, betaGamma] while a slot-order
-    // replay of the schemas yields [betaGamma, alpha].
+/// Slot 0 holds `alpha`, slot 1 `betaGamma`. Replacing slot 0 with a
+/// `betaGamma` root over an `alpha` leaf interns nothing new, so the
+/// live label list stays [alpha, betaGamma] while a slot-order replay
+/// of the schemas yields [betaGamma, alpha]. The store caches the row
+/// of `alphabet`.
+fn replace_fixture() -> Repository {
     let mut repository = Repository::new();
     repository.add(SchemaBuilder::new("a").root("alpha").build());
     repository.add(SchemaBuilder::new("b").root("betaGamma").build());
@@ -351,10 +352,35 @@ fn salvaged_labels_after_a_replace_keep_no_row_under_a_wrong_label_id() {
             .build(),
     );
     repository.store().score_row("alphabet");
-    let personal = SchemaBuilder::new("p")
+    repository
+}
+
+/// The personal schema the replace-fixture tests match.
+fn alphabet_personal() -> Schema {
+    SchemaBuilder::new("p")
         .root("alphabet")
         .leaf("gamma", PrimitiveType::String)
-        .build();
+        .build()
+}
+
+/// Flip the first payload byte of section `id`, found through the
+/// snapshot's section table: magic, version and count, then 28-byte
+/// entries `{ id: u32, offset: u64, len: u64, checksum: u64 }`.
+fn flip_section_byte(bytes: &mut [u8], id: u32) {
+    let table = MAGIC.len() + 8;
+    let count = u32::from_le_bytes(bytes[table - 4..table].try_into().unwrap()) as usize;
+    let entry = (0..count)
+        .map(|i| table + i * 28)
+        .find(|&e| bytes[e..e + 4] == id.to_le_bytes())
+        .unwrap_or_else(|| panic!("section {id} missing from the snapshot"));
+    let offset = u64::from_le_bytes(bytes[entry + 4..entry + 12].try_into().unwrap()) as usize;
+    bytes[offset] ^= 0xFF;
+}
+
+#[test]
+fn salvaged_labels_after_a_replace_keep_no_row_under_a_wrong_label_id() {
+    let repository = replace_fixture();
+    let personal = alphabet_personal();
     let problem = MatchProblem::new(personal.clone(), repository.clone()).unwrap();
     CertifiedMatcher::new(
         ExhaustiveMatcher::default(),
@@ -362,13 +388,8 @@ fn salvaged_labels_after_a_replace_keep_no_row_under_a_wrong_label_id() {
     )
     .run_certified(&problem, DELTA_MAX, &MappingRegistry::new());
 
-    // Flip one byte of the LABELS payload: the writer puts LABELS in
-    // the second 28-byte table entry, after magic, version and count.
     let mut bytes = repository.save_snapshot();
-    let entry = MAGIC.len() + 8 + 28;
-    assert_eq!(bytes[entry..entry + 4], section::LABELS.to_le_bytes());
-    let offset = u64::from_le_bytes(bytes[entry + 4..entry + 12].try_into().unwrap()) as usize;
-    bytes[offset] ^= 0xFF;
+    flip_section_byte(&mut bytes, section::LABELS);
 
     let (salvaged, report) =
         Repository::load_snapshot_report(&bytes, RecoveryPolicy::Salvage).unwrap();
@@ -399,6 +420,54 @@ fn salvaged_labels_after_a_replace_keep_no_row_under_a_wrong_label_id() {
     // The rows those runs cached are right too.
     assert!(salvaged.store().cached_rows() > 0);
     assert_cached_rows_are_oracle(&salvaged);
+}
+
+#[test]
+fn a_second_salvage_after_lost_tombstones_keeps_no_row_under_a_wrong_label_id() {
+    // Losing TOMBSTONES loses the mutation history. The store must not
+    // then pass for an add-only one, or a later LABELS salvage of its
+    // next snapshot would trust a slot-order replay that permutes ids.
+    let repository = replace_fixture();
+    let mut bytes = repository.save_snapshot();
+    flip_section_byte(&mut bytes, section::TOMBSTONES);
+    let (first, report) =
+        Repository::load_snapshot_report(&bytes, RecoveryPolicy::Salvage).unwrap();
+    assert_eq!(
+        report.events,
+        vec![SalvageEvent::TombstonesDropped(Damage::BadChecksum)]
+    );
+    for sid in first.schema_ids() {
+        assert!(!first.is_removed(sid));
+        assert_eq!(first.store().schema_generation(sid), 1, "history unknown");
+    }
+    assert_cached_rows_are_oracle(&first);
+
+    let mut bytes = first.save_snapshot();
+    flip_section_byte(&mut bytes, section::LABELS);
+    let (second, report) =
+        Repository::load_snapshot_report(&bytes, RecoveryPolicy::Salvage).unwrap();
+    assert_eq!(
+        report.events,
+        vec![
+            SalvageEvent::LabelsRebuilt(Damage::BadChecksum),
+            SalvageEvent::RowsDropped(Damage::Inconsistent),
+            SalvageEvent::FiltersRebuilt(Damage::Inconsistent),
+        ]
+    );
+    assert_cached_rows_are_oracle(&second);
+
+    let personal = alphabet_personal();
+    for (name, matcher) in all_matchers() {
+        let registry = MappingRegistry::new();
+        let oracle = run(&matcher, &personal, &repository, &registry);
+        let degraded = run(&matcher, &personal, &second, &registry);
+        assert_eq!(
+            canonical_answers(&oracle, &registry),
+            canonical_answers(&degraded, &registry),
+            "matcher {name} diverged after the second salvage"
+        );
+    }
+    assert_cached_rows_are_oracle(&second);
 }
 
 proptest! {

@@ -21,7 +21,7 @@
 //! * the memo is shared by store clones, never persisted, emptied by
 //!   [`LabelStore::clear_rows`](crate::LabelStore::clear_rows), and on
 //!   bounded stores holds at most `max_cached_rows` rows, evicted by the
-//!   same global recency rule as score rows and partial rows.
+//!   same global recency rule as score rows, under a bound of its own.
 //!
 //! Every value equals what the filter index's cheap pass
 //! ([`FilterIndex::sim_upper_bounds_cheap`]) and its per-label

@@ -27,8 +27,9 @@
 //!   the name-similarity mix, maintained incrementally on ingest and
 //!   persisted through the `smx-persist` FILTERS section,
 //! * [`store`] — the repository-resident label score store: per-label
-//!   row-kernel profiles and cached name-distance rows (full rows plus
-//!   coverage-masked partial rows for candidate subsets), updated
+//!   row-kernel profiles and one map of cached name-distance rows (a
+//!   row covers every column once swept, the requested columns when
+//!   candidate subsets filled it), updated
 //!   incrementally on every ingest, shared by every `MatchProblem`
 //!   against the repository,
 //! * [`bound_rows`] — the store's memo of candidate-tier bound rows:

@@ -13,9 +13,10 @@
 //! * the flat [`ColumnArena`]: every schema's per-node label ids (the
 //!   cost-matrix column map) and tree shapes in two contiguous arrays,
 //! * the label→schema postings: per label, the schemas that contain it,
-//! * a **score-row cache**: for each query label already seen, the dense
-//!   vector of name *distances* to every stored label, computed by one
-//!   [`RowKernel`] sweep and reused by every later query.
+//! * a **score-row cache**: for each query label already seen, its name
+//!   *distances* to the stored labels — every column when a
+//!   [`RowKernel`] sweep filled it, the requested ones when candidate
+//!   subsets did — reused by every later query.
 //!
 //! Adding a schema appends: new distinct labels get profiles, the
 //! schema's id is appended to its labels' postings, and cached score
@@ -25,14 +26,14 @@
 //!
 //! # Locks and counters
 //!
-//! The full-row cache and the partial-row map each sit behind one
-//! `RwLock`: hits take the shared lock, fills and evictions the
-//! exclusive one. With one map per kind, the LRU bound is global by
-//! construction — an eviction pass removes the least-recently-used
-//! entries of the whole map. Every work counter lives in one private
-//! block of atomics; the row-path counters move while the row lock is
-//! held and [`LabelStore::counters`] reads the block under the
-//! exclusive lock, so a snapshot never sees a lookup half-counted.
+//! The score-row map sits behind one `RwLock`: hits take the shared
+//! lock, fills and evictions the exclusive one. With one map, the LRU
+//! bound is global by construction — an eviction pass removes the
+//! least-recently-used rows of the whole map. Every work counter lives
+//! in one private block of atomics; the row-path counters move while
+//! the row lock is held and [`LabelStore::counters`] reads the block
+//! under the exclusive lock, so a snapshot never sees a lookup
+//! half-counted.
 //!
 //! # Mutability: remove / replace
 //!
@@ -63,9 +64,9 @@
 //! least-recently-used row whenever it would exceed the bound. Evicted
 //! rows are simply recomputed (bitwise identically) on next sight, so
 //! the bound trades pair evaluations for memory and never affects
-//! results. Partial rows and memoised bound rows are held to the same
-//! bound by the same rule: one recency clock stamps all three kinds,
-//! and each kind keeps at most `max_cached_rows` entries. Hits, misses,
+//! results. Swept and subset-filled rows share that one bound.
+//! Memoised bound rows, a different value type, keep a bound of their
+//! own of the same size, under the same recency clock. Hits, misses,
 //! and evictions are counted and surfaced through the [`StoreCounters`]
 //! snapshot, so warm-path behaviour under memory pressure stays
 //! measurable.
@@ -81,26 +82,22 @@
 //! independent, so the batched sweep is bitwise identical to serving
 //! each query alone.
 //!
-//! # Candidate subsets: partial rows
+//! # Candidate subsets
 //!
 //! The candidate-generation tier (`smx-match`'s `CandidateGenerator`)
 //! scores only a pruned set of schemas, so it needs *some columns* of a
 //! query's row, not all of them. [`LabelStore::score_rows_subset`]
-//! serves exactly that: a full cached row answers any subset for free;
-//! otherwise the store keeps a **separate** coverage-masked partial row
-//! per query (full-width values with NaN holes plus a bitset of valid
-//! columns) and computes only the still-missing columns, one
-//! [`RowKernel::distance`] call each — bitwise identical to the same
-//! position of a full sweep, because per-pair values are independent.
-//! Partial rows never enter the full-row cache, are never offered to
-//! the eviction sink, and the full-row path never consults them — so
-//! cached full rows and partial rows coexist without poisoning the
-//! bitwise-identity contract or any full-row counter invariant. Subset
-//! traffic is accounted separately: `candidate_hits` (requested columns
-//! served without kernel work), `candidate_pruned` (columns a full
-//! sweep would have computed that the subset skipped), and
-//! `partial_row_fills` (fill operations that ran the kernel), all in
-//! [`StoreCounters`].
+//! serves them from the same row map. Each row records which columns
+//! are valid: those below its length for a swept row, a coverage bitset
+//! (NaN holes elsewhere) for a row subsets filled. A row covering every
+//! column is full, whoever filled it. A subset request computes only
+//! the columns its row lacks, one [`RowKernel::distance`] call each —
+//! bitwise identical to a full sweep's, because per-pair values are
+//! independent. The full path, the eviction sink and snapshots use a
+//! row's *covered leading run*: its valid columns from column 0 on.
+//! Subset traffic is counted apart from the `row_*` lookups, in
+//! `subset_lookups`, `candidate_hits`, `candidate_pruned` and
+//! `partial_row_fills` ([`StoreCounters`]).
 //!
 //! The store also maintains, incrementally at ingest, the
 //! [`FilterIndex`] of per-label filter lanes and trigram postings that
@@ -111,7 +108,7 @@
 //! query label gets from it are memoised per label as **bound rows**
 //! ([`LabelStore::bound_row`], see [`bound_rows`](crate::bound_rows)):
 //! valid while their length equals the label count, shared by clones,
-//! never persisted, and bounded like the row caches.
+//! never persisted, and bounded like the score rows.
 //!
 //! # Spill: trading disk for recompute
 //!
@@ -194,9 +191,11 @@ fn fingerprint_push(hash: u64, label: &str) -> u64 {
 /// Configuration of a [`LabelStore`]'s score-row cache and batch sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreConfig {
-    /// Upper bound on cached score rows. When the cache would exceed it,
+    /// Upper bound on cached score rows — swept and subset-filled alike,
+    /// under one bound. When the cache would exceed it,
     /// least-recently-used rows are evicted (and recomputed, bitwise
-    /// identically, if queried again). `None` means unbounded — the
+    /// identically, if queried again). Memoised bound rows keep a bound
+    /// of their own of the same size. `None` means unbounded — the
     /// cache grows with the distinct query vocabulary.
     pub max_cached_rows: Option<usize>,
     /// Worker threads for batched row sweeps ([`LabelStore::score_rows`]);
@@ -217,8 +216,9 @@ pub struct StoreConfig {
 /// trades disk for recompute instead of discarding work.
 ///
 /// The store calls [`on_evict`](EvictionSink::on_evict) for every
-/// evicted row **after releasing the cache lock** (sink I/O never blocks
-/// concurrent row lookups), and consults
+/// evicted row, with the row's covered leading run (skipping rows whose
+/// run is empty), **after releasing the cache lock** (sink I/O never
+/// blocks concurrent row lookups), and consults
 /// [`recover`](EvictionSink::recover) on a cache miss before sweeping.
 /// Recovered rows must be byte-for-byte what was spilled: the store
 /// trusts them as valid row prefixes (label ids are append-only, so a
@@ -295,7 +295,7 @@ pub struct HealthReport {
     /// Salvage events recorded against this store (damaged snapshot
     /// sections that were rebuilt or dropped at load time).
     pub salvage_events: u64,
-    /// Cached score rows currently in memory.
+    /// Cached score rows currently in memory, swept and subset-filled.
     pub cached_rows: usize,
     /// The store's work counters (see [`StoreCounters`]).
     pub counters: StoreCounters,
@@ -332,9 +332,10 @@ pub struct StoreState {
     pub labels: Vec<String>,
     /// Per schema (by id), the label id of each node in arena order.
     pub schema_labels: Vec<Vec<u32>>,
-    /// Cached score rows as `(query, distances)`, least recently used
-    /// first — import re-stamps them in order, preserving LRU behaviour
-    /// across a restart.
+    /// Each cached score row's covered leading run as
+    /// `(query, distances)`, least recently used first — import
+    /// re-stamps them in order, preserving LRU behaviour across a
+    /// restart.
     pub rows: Vec<(String, Vec<f64>)>,
     /// The store's cache bound ([`StoreConfig::max_cached_rows`]).
     pub max_cached_rows: Option<usize>,
@@ -390,14 +391,14 @@ pub struct StoreCounters {
     /// never see.
     pub subset_lookups: u64,
     /// Candidate-subset columns served without kernel work — from a
-    /// full cached row or an already-covered partial-row position
+    /// full cached row or an already-covered column of a row
     /// ([`LabelStore::score_rows_subset`]).
     pub candidate_hits: u64,
     /// Columns a full row sweep would have computed that a candidate
     /// subset skipped — the work the candidate tier saved at the store.
     pub candidate_pruned: u64,
-    /// Partial-row fill operations: subset requests that ran the kernel
-    /// for at least one missing column.
+    /// Subset fill operations: subset requests that ran the kernel for
+    /// at least one missing column.
     pub partial_row_fills: u64,
     /// Candidate-tier bound rows served from the memo
     /// ([`LabelStore::bound_row`]).
@@ -444,9 +445,9 @@ impl std::fmt::Display for StoreCounters {
 }
 
 /// Remove the least-recently-used entries of `map` until it holds at
-/// most `cap`, returning the `(key, entry)` victims. Full rows, partial
-/// rows, and memoised bound rows are all stamped from the store's one
-/// recency clock; `last_used` reads an entry's stamp. One stamp scan
+/// most `cap`, returning the `(key, entry)` victims. Score rows and
+/// memoised bound rows are both stamped from the store's one recency
+/// clock; `last_used` reads an entry's stamp. One stamp scan
 /// plus one partial sort of the victims, so tightening the bound on a
 /// large live cache stays `O(len log len)`.
 pub(crate) fn evict_lru<V>(
@@ -468,37 +469,76 @@ pub(crate) fn evict_lru<V>(
         .collect()
 }
 
-/// One cached score row plus its recency stamp. The stamp is atomic so
-/// cache hits can refresh it under the shared read lock.
+/// One cached score row: a query's distances, which of them are valid,
+/// and a recency stamp. A row the full path swept is valid at every
+/// column below `row.len()` (after later `add`s, a stale prefix); a row
+/// candidate subsets filled holds NaN holes and a bitset of its valid
+/// columns. A row covering every current column is a full row, however
+/// it was filled. The stamp is atomic so cache hits can refresh it
+/// under the shared read lock.
 struct CachedRow {
     row: Arc<Vec<f64>>,
+    /// `None` for a swept row; the valid columns of a subset-filled one.
+    coverage: Option<Vec<u64>>,
     last_used: AtomicU64,
+}
+
+impl CachedRow {
+    /// A swept row: valid at every column below its length.
+    fn swept(row: Arc<Vec<f64>>, stamp: u64) -> CachedRow {
+        CachedRow {
+            row,
+            coverage: None,
+            last_used: AtomicU64::new(stamp),
+        }
+    }
+
+    /// Whether column `c` holds a valid distance.
+    fn covers(&self, c: usize) -> bool {
+        c < self.row.len() && self.coverage.as_ref().is_none_or(|bits| bit_get(bits, c))
+    }
+
+    /// Length of the covered leading run: the valid columns from column
+    /// 0 on, the prefix the full path reuses.
+    fn covered_run(&self) -> usize {
+        let Some(bits) = &self.coverage else {
+            return self.row.len();
+        };
+        let words = bits.iter().take_while(|&&w| w == u64::MAX).count();
+        let run = words * 64 + bits.get(words).map_or(0, |w| w.trailing_ones() as usize);
+        run.min(self.row.len())
+    }
+
+    /// The covered leading run as a row of its own (`None` when empty).
+    fn covered_prefix(&self) -> Option<Arc<Vec<f64>>> {
+        match self.covered_run() {
+            0 => None,
+            run if run == self.row.len() => Some(Arc::clone(&self.row)),
+            run => Some(Arc::new(self.row[..run].to_vec())),
+        }
+    }
+
+    /// Write `values` at `cols` and mark them valid, widening the row to
+    /// `n` columns with NaN holes. A swept row keeps its prefix valid.
+    fn merge(&mut self, cols: &[usize], values: &[f64], n: usize) {
+        let bits = self.coverage.get_or_insert_with(|| {
+            let mut bits = vec![0; n.div_ceil(64)];
+            (0..self.row.len()).for_each(|c| bit_set(&mut bits, c));
+            bits
+        });
+        bits.resize(n.div_ceil(64), 0);
+        let row = Arc::make_mut(&mut self.row);
+        row.resize(n, f64::NAN);
+        for (&c, &v) in cols.iter().zip(values) {
+            row[c] = v;
+            bit_set(bits, c);
+        }
+    }
 }
 
 impl Clone for CachedRow {
     fn clone(&self) -> Self {
         CachedRow {
-            row: Arc::clone(&self.row),
-            last_used: AtomicU64::new(self.last_used.load(Relaxed)),
-        }
-    }
-}
-
-/// A coverage-masked partial score row for candidate subsets: values
-/// for the covered columns (NaN holes elsewhere) plus a bitset of which
-/// columns are valid, and a recency stamp like [`CachedRow`]'s. Kept in
-/// a map separate from the full-row cache so the two can never be
-/// confused; a partial may be narrower than the label list after later
-/// `add`s (columns past its end are uncovered).
-struct PartialRow {
-    row: Arc<Vec<f64>>,
-    coverage: Vec<u64>,
-    last_used: AtomicU64,
-}
-
-impl Clone for PartialRow {
-    fn clone(&self) -> Self {
-        PartialRow {
             row: Arc::clone(&self.row),
             coverage: self.coverage.clone(),
             last_used: AtomicU64::new(self.last_used.load(Relaxed)),
@@ -646,14 +686,10 @@ pub struct LabelStore {
     /// cache per-schema derived state can compare generations instead of
     /// diffing schema contents.
     generations: Vec<u64>,
-    /// Query label → distances to the first `row.len()` stored labels.
-    /// Rows are append-consistent: label ids are stable, so a short row
-    /// is a valid prefix and only its tail needs computing after adds.
+    /// Query label → its cached distances (see [`CachedRow`]). Rows are
+    /// append-consistent: label ids are stable, so a row stays valid at
+    /// every column it covers and only the rest need computing after adds.
     rows: RwLock<HashMap<String, CachedRow>>,
-    /// Query label → coverage-masked partial row (candidate subsets).
-    /// Strictly separate from `rows`: partials never serve full-row
-    /// requests.
-    partial_rows: RwLock<HashMap<String, PartialRow>>,
     /// Memoised candidate-tier bound rows ([`Self::bound_row`]). Shared
     /// by clones; replaced by a fresh memo whenever ingest interns new
     /// labels, so every row in it matches this store's label list.
@@ -676,11 +712,21 @@ pub struct LabelStore {
 }
 
 /// A query the current `score_rows` call must sweep: its first-seen text,
-/// the reusable cached prefix (stale rows), and every output slot that
-/// asked for it.
+/// the reusable cached prefix (a row's covered leading run), and every
+/// output slot that asked for it.
 struct PendingRow<'q> {
     query: &'q str,
     prefix: Option<Arc<Vec<f64>>>,
+    slots: Vec<usize>,
+}
+
+/// A query the current `score_rows_subset` call must fill: its
+/// first-seen text, the row it had (if any), which requested columns
+/// that row covers, and every output slot that asked for it.
+struct PendingSubset<'q> {
+    query: &'q str,
+    prior: Option<Arc<Vec<f64>>>,
+    covered: Vec<bool>,
     slots: Vec<usize>,
 }
 
@@ -702,7 +748,6 @@ impl LabelStore {
             removed: Vec::new(),
             generations: Vec::new(),
             rows: RwLock::default(),
-            partial_rows: RwLock::default(),
             bound_memo: Arc::default(),
             clock: AtomicU64::new(0),
             max_cached_rows: AtomicUsize::new(config.max_cached_rows.unwrap_or(UNBOUNDED)),
@@ -725,14 +770,12 @@ impl LabelStore {
     }
 
     /// Change the LRU bound on a live store, evicting immediately if the
-    /// cache — full rows, partial rows, or memoised bound rows — already
-    /// exceeds the new bound. `None` removes the bound.
+    /// score rows or the memoised bound rows already exceed the new
+    /// bound. `None` removes the bound.
     pub fn set_max_cached_rows(&self, max: Option<usize>) {
         let cap = max.unwrap_or(UNBOUNDED);
         self.max_cached_rows.store(cap, Relaxed);
-        let victims = self.evict_rows_over_cap();
-        self.spill_victims(victims);
-        self.evict_partials_over_cap();
+        self.evict_over_cap();
         self.bound_memo.shrink_to(cap);
     }
 
@@ -877,7 +920,9 @@ impl LabelStore {
     }
 
     /// The mutation generation of schema slot `sid`: 0 for a slot never
-    /// mutated, bumped on every remove and every replace.
+    /// mutated, bumped on every remove and every replace. A salvage load
+    /// that lost the snapshot's tombstones sets every slot to 1, since
+    /// its history is unknown.
     pub fn schema_generation(&self, sid: SchemaId) -> u64 {
         self.generations[sid.index()]
     }
@@ -1068,14 +1113,14 @@ impl LabelStore {
             }
             let cache = self.rows.read();
             match cache.get(q) {
-                Some(entry) if entry.row.len() == n => {
+                Some(entry) if entry.covered_run() == n => {
                     entry.last_used.store(self.tick(), Relaxed);
                     self.counters.row_lookups.fetch_add(1, Relaxed);
                     self.counters.row_hits.fetch_add(1, Relaxed);
                     out[i] = Some(Arc::clone(&entry.row));
                 }
                 stale => {
-                    let prefix = stale.map(|entry| Arc::clone(&entry.row));
+                    let prefix = stale.and_then(CachedRow::covered_prefix);
                     pending_of.insert(q, pending.len());
                     pending.push(PendingRow {
                         query: q,
@@ -1102,22 +1147,24 @@ impl LabelStore {
     /// `cols` — the candidate tier's entry point: score only the labels
     /// the pruned candidate schemas actually reference.
     ///
+    /// `cols` must be strictly ascending and below [`len`](Self::len).
     /// `result[i][c]` equals `score_row(queries[i])[c]` **bitwise** for
     /// every `c` in `cols` (per-pair values are position-independent,
     /// so a per-column [`RowKernel::distance`] call equals the same
     /// position of a full sweep); positions outside `cols` are
     /// unspecified (NaN holes) and may be narrower than the label list.
     ///
-    /// A full cached row answers any subset for free. Otherwise the
-    /// query's coverage-masked partial row serves the columns it
-    /// already covers and only the rest are computed — so repeated
-    /// candidate queries converge to zero kernel work just like full
-    /// rows do. Partial rows live in their own map: they are never
-    /// promoted into the full-row cache, never spilled, and the
-    /// full-row path never consults them, keeping every existing
-    /// full-row counter invariant intact. Subset traffic moves only
-    /// `pair_evals`, `subset_lookups`, `candidate_hits`,
-    /// `candidate_pruned`, and `partial_row_fills`.
+    /// The query's cached row serves every requested column it covers
+    /// and only the rest are computed and merged into that row — so
+    /// repeated candidate queries converge to zero kernel work just like
+    /// full rows do. Subset traffic moves only `pair_evals`,
+    /// `subset_lookups`, `candidate_hits`, `candidate_pruned`, and
+    /// `partial_row_fills`, never the `row_*` lookups.
+    ///
+    /// # Panics
+    ///
+    /// If `cols` repeats a column, is out of order, or holds a column
+    /// `>= len()`.
     pub fn score_rows_subset(&self, queries: &[&str], cols: &[usize]) -> Vec<Arc<Vec<f64>>> {
         if !smx_obs::enabled() {
             return self.score_rows_subset_core(queries, cols).0;
@@ -1142,25 +1189,30 @@ impl LabelStore {
         cols: &[usize],
     ) -> (Vec<Arc<Vec<f64>>>, SubsetStats) {
         let n = self.profiles.len();
-        debug_assert!(cols.iter().all(|&c| c < n), "columns must be in range");
+        assert!(
+            cols.windows(2).all(|w| w[0] < w[1]) && cols.last().is_none_or(|&c| c < n),
+            "subset columns must be strictly ascending and below len()"
+        );
         self.counters
             .subset_lookups
             .fetch_add(queries.len() as u64, Relaxed);
         let mut stats = SubsetStats::default();
         let mut out: Vec<Option<Arc<Vec<f64>>>> = vec![None; queries.len()];
-        let mut pending: Vec<(&str, Vec<usize>)> = Vec::new();
+        let mut pending: Vec<PendingSubset<'_>> = Vec::new();
         let mut pending_of: HashMap<&str, usize> = HashMap::new();
         for (i, &q) in queries.iter().enumerate() {
             if let Some(&pi) = pending_of.get(q) {
-                pending[pi].1.push(i);
+                pending[pi].slots.push(i);
                 continue;
             }
             let cache = self.rows.read();
-            match cache.get(q) {
-                Some(entry) if entry.row.len() == n => {
-                    // A full row serves any subset; refresh recency
-                    // so subset traffic keeps hot rows hot.
-                    entry.last_used.store(self.tick(), Relaxed);
+            // Refresh recency so subset traffic keeps hot rows hot.
+            let entry = cache
+                .get(q)
+                .inspect(|e| e.last_used.store(self.tick(), Relaxed));
+            match entry {
+                Some(entry) if entry.covered_run() == n => {
+                    // A full row serves any subset.
                     self.counters
                         .candidate_hits
                         .fetch_add(cols.len() as u64, Relaxed);
@@ -1169,31 +1221,24 @@ impl LabelStore {
                 }
                 _ => {
                     pending_of.insert(q, pending.len());
-                    pending.push((q, vec![i]));
+                    pending.push(PendingSubset {
+                        query: q,
+                        prior: entry.map(|e| Arc::clone(&e.row)),
+                        covered: cols
+                            .iter()
+                            .map(|&c| entry.is_some_and(|e| e.covers(c)))
+                            .collect(),
+                        slots: vec![i],
+                    });
                 }
             }
         }
-        for (q, slots) in pending {
-            // Snapshot what the partial row already covers, compute the
-            // missing columns outside any lock (concurrent fills compute
-            // identical values, so last-write-wins merging is safe),
-            // then merge under the write lock.
-            let (prior, covered): (Option<Arc<Vec<f64>>>, Vec<bool>) = {
-                let partials = self.partial_rows.read();
-                match partials.get(q) {
-                    Some(p) => {
-                        p.last_used.store(self.tick(), Relaxed);
-                        (
-                            Some(Arc::clone(&p.row)),
-                            cols.iter()
-                                .map(|&c| c < p.row.len() && bit_get(&p.coverage, c))
-                                .collect(),
-                        )
-                    }
-                    None => (None, vec![false; cols.len()]),
-                }
-            };
-            let missing = covered.iter().filter(|&&hit| !hit).count();
+        for p in pending {
+            // The columns the row covered were snapshotted above; compute
+            // the missing ones outside any lock (concurrent fills compute
+            // identical values, so last-write-wins merging is safe), then
+            // merge under the write lock.
+            let missing = p.covered.iter().filter(|&&hit| !hit).count();
             self.counters
                 .candidate_hits
                 .fetch_add((cols.len() - missing) as u64, Relaxed);
@@ -1205,20 +1250,20 @@ impl LabelStore {
                 // `cols` may itself be empty (a fully pruned problem
                 // still fills its zero-column matrix): any row serves
                 // an empty subset, including one that was never filled.
-                let row = prior.unwrap_or_else(|| Arc::new(Vec::new()));
-                for &slot in &slots {
+                let row = p.prior.unwrap_or_else(|| Arc::new(Vec::new()));
+                for &slot in &p.slots {
                     out[slot] = Some(Arc::clone(&row));
                 }
                 continue;
             }
             // Covered columns are merged back too, not just computed
             // ones: an eviction or `clear_rows` between the snapshot and
-            // the merge may have dropped the partial row they came from.
-            let kernel = RowKernel::new(q);
+            // the merge may have dropped the row they came from.
+            let kernel = RowKernel::new(p.query);
             let values: Vec<f64> = cols
                 .iter()
-                .zip(&covered)
-                .map(|(&c, &hit)| match &prior {
+                .zip(&p.covered)
+                .map(|(&c, &hit)| match &p.prior {
                     Some(prior) if hit => prior[c],
                     _ => kernel.distance(&self.profiles[c]),
                 })
@@ -1227,33 +1272,24 @@ impl LabelStore {
             stats.pair_evals += missing as u64;
             self.counters.partial_row_fills.fetch_add(1, Relaxed);
             let row = {
-                let mut partials = self.partial_rows.write();
-                let entry = partials.entry(q.to_owned()).or_insert_with(|| PartialRow {
-                    row: Arc::new(Vec::new()),
-                    coverage: Vec::new(),
-                    last_used: AtomicU64::new(0),
-                });
+                let mut rows = self.rows.write();
+                // An empty swept row covers nothing; the merge widens it.
+                let entry = rows
+                    .entry(p.query.to_owned())
+                    .or_insert_with(|| CachedRow::swept(Arc::default(), 0));
                 entry.last_used.store(self.tick(), Relaxed);
-                let vec = Arc::make_mut(&mut entry.row);
-                if vec.len() < n {
-                    vec.resize(n, f64::NAN);
-                }
-                let words = n.div_ceil(64);
-                if entry.coverage.len() < words {
-                    entry.coverage.resize(words, 0);
-                }
-                for (&c, &v) in cols.iter().zip(&values) {
-                    vec[c] = v;
-                    bit_set(&mut entry.coverage, c);
+                // A full row that raced in is served as is.
+                if entry.covered_run() < n {
+                    entry.merge(cols, &values, n);
                 }
                 Arc::clone(&entry.row)
             };
-            for &slot in &slots {
+            for &slot in &p.slots {
                 out[slot] = Some(Arc::clone(&row));
             }
         }
         if stats.pair_evals > 0 {
-            self.evict_partials_over_cap();
+            self.evict_over_cap();
         }
         (
             out.into_iter()
@@ -1343,16 +1379,9 @@ impl LabelStore {
                     smx_obs::registry().counter("store.spill_recoveries").inc();
                 }
             }
-            cache.insert(
-                p.query.to_owned(),
-                CachedRow {
-                    row,
-                    last_used: AtomicU64::new(self.tick()),
-                },
-            );
+            cache.insert(p.query.to_owned(), CachedRow::swept(row, self.tick()));
         }
-        let victims = self.evict_rows_over_cap();
-        self.spill_victims(victims);
+        self.evict_over_cap();
         SweepStats {
             rows_swept: pending.len() as u64,
             pair_evals: computed,
@@ -1480,60 +1509,46 @@ impl LabelStore {
     }
 
     /// Evict least-recently-used rows until the cache respects the
-    /// configured bound, returning `(query, row)` victims so the caller
-    /// can hand them to the eviction sink *after* the lock drops.
-    /// Unbounded stores return immediately without taking the lock.
-    #[must_use = "victims must be offered to the eviction sink outside the lock"]
-    fn evict_rows_over_cap(&self) -> Vec<(String, Arc<Vec<f64>>)> {
-        let cap = self.max_cached_rows.load(Relaxed);
-        if cap == UNBOUNDED {
-            return Vec::new();
-        }
-        let mut rows = self.rows.write();
-        let victims: Vec<_> = evict_lru(&mut rows, cap, |e: &CachedRow| e.last_used.load(Relaxed))
-            .into_iter()
-            .map(|(key, entry)| (key, entry.row))
-            .collect();
-        self.counters
-            .row_evictions
-            .fetch_add(victims.len() as u64, Relaxed);
-        if smx_obs::enabled() && !victims.is_empty() {
-            smx_obs::registry()
-                .counter("store.row_evictions")
-                .add(victims.len() as u64);
-        }
-        victims
-    }
-
-    /// Evict least-recently-used partial rows past the bound, under the
-    /// same recency rule as full rows. Partial rows are never spilled: a
-    /// dropped one is recomputed column by column on next use.
-    fn evict_partials_over_cap(&self) {
+    /// configured bound, then offer each victim's covered leading run,
+    /// when non-empty, to the installed sink (if any) — after the row
+    /// lock drops, so sink I/O never blocks row lookups. Unbounded
+    /// stores return immediately without taking the lock.
+    fn evict_over_cap(&self) {
         let cap = self.max_cached_rows.load(Relaxed);
         if cap == UNBOUNDED {
             return;
         }
-        let _ = evict_lru(&mut self.partial_rows.write(), cap, |e: &PartialRow| {
-            e.last_used.load(Relaxed)
-        });
-    }
-
-    /// Offer evicted rows to the installed sink (if any). Runs with no
-    /// cache lock held — sink I/O never blocks row lookups.
-    fn spill_victims(&self, victims: Vec<(String, Arc<Vec<f64>>)>) {
+        let victims = {
+            let mut rows = self.rows.write();
+            let victims = evict_lru(&mut rows, cap, |e: &CachedRow| e.last_used.load(Relaxed));
+            self.counters
+                .row_evictions
+                .fetch_add(victims.len() as u64, Relaxed);
+            if smx_obs::enabled() && !victims.is_empty() {
+                smx_obs::registry()
+                    .counter("store.row_evictions")
+                    .add(victims.len() as u64);
+            }
+            victims
+        };
         if victims.is_empty() {
             return;
         }
         let Some(sink) = self.sink.read().clone() else {
             return;
         };
-        let mut spilled = 0u64;
-        for (query, row) in &victims {
-            if sink.on_evict(query, row.as_slice(), self.prefix_hashes[row.len()]) {
+        let (mut offered, mut spilled) = (0u64, 0u64);
+        for (query, entry) in &victims {
+            let run = entry.covered_run();
+            if run == 0 {
+                continue;
+            }
+            offered += 1;
+            if sink.on_evict(query, &entry.row[..run], self.prefix_hashes[run]) {
                 spilled += 1;
             }
         }
-        let failed = victims.len() as u64 - spilled;
+        let failed = offered - spilled;
         self.counters.row_spills.fetch_add(spilled, Relaxed);
         self.counters.row_spill_failures.fetch_add(failed, Relaxed);
         if smx_obs::enabled() {
@@ -1543,14 +1558,10 @@ impl LabelStore {
         }
     }
 
-    /// Number of query labels with a cached score row.
+    /// Number of query labels with a cached score row, swept or
+    /// subset-filled.
     pub fn cached_rows(&self) -> usize {
         self.rows.read().len()
-    }
-
-    /// Number of query labels with a coverage-masked partial row.
-    pub fn cached_partial_rows(&self) -> usize {
-        self.partial_rows.read().len()
     }
 
     /// Number of memoised candidate-tier bound rows
@@ -1559,20 +1570,20 @@ impl LabelStore {
         self.bound_memo.len()
     }
 
-    /// Whether `query` currently has a cached (possibly stale-prefix)
-    /// row. Read-only: does not refresh LRU recency or count a lookup.
+    /// Whether `query` currently has a cached row, whatever it covers
+    /// (a stale prefix or a subset-filled row counts). Read-only: does
+    /// not refresh LRU recency or count a lookup.
     pub fn has_cached_row(&self, query: &str) -> bool {
         self.rows.read().contains_key(query)
     }
 
-    /// Drop every cached score row, every partial row, *and* every
-    /// memoised bound row (profiles and indexes stay). Benches use this
-    /// to measure a genuinely cold request: score rows and candidate
-    /// bounds are both recomputed on next use. Affects every clone
-    /// sharing the caches.
+    /// Drop every cached score row — swept or subset-filled — *and*
+    /// every memoised bound row (profiles and indexes stay). Benches use
+    /// this to measure a genuinely cold request: score rows and
+    /// candidate bounds are both recomputed on next use. Affects every
+    /// clone sharing the caches.
     pub fn clear_rows(&self) {
         self.rows.write().clear();
-        self.partial_rows.write().clear();
         self.bound_memo.clear();
     }
 
@@ -1607,7 +1618,7 @@ impl LabelStore {
     /// Export one merged observability report: a snapshot of the global
     /// `smx-obs` metrics registry with this store's own instruments
     /// grafted in — monotonic counts ([`StoreCounters`], salvage
-    /// events) as counters, occupancy (cached rows of each kind, live
+    /// events) as counters, occupancy (cached score and bound rows, live
     /// schemas, orphaned labels) and the installed sink's
     /// [`SinkHealth`] as gauges. Store counts whose name a gated
     /// registry counter already uses carry a `_total` suffix. This is
@@ -1641,10 +1652,6 @@ impl LabelStore {
             snapshot.set_counter(name, value);
         }
         snapshot.set_gauge("store.cached_rows", health.cached_rows as f64);
-        snapshot.set_gauge(
-            "store.cached_partial_rows",
-            self.cached_partial_rows() as f64,
-        );
         snapshot.set_gauge("store.cached_bound_rows", self.cached_bound_rows() as f64);
         snapshot.set_gauge("store.live_schemas", self.live_schema_count() as f64);
         snapshot.set_gauge("store.orphaned_labels", self.orphaned_labels() as f64);
@@ -1674,27 +1681,27 @@ impl LabelStore {
     }
 
     /// Snapshot the store's hot state — interned labels, per-schema
-    /// label columns, cached score rows in LRU order, and the cache
-    /// configuration — as plain data for `smx-persist` to encode.
+    /// label columns, each cached score row's covered leading run (when
+    /// non-empty) in LRU order, and the cache configuration — as plain
+    /// data for `smx-persist` to encode.
     ///
     /// Taken under the exclusive row lock, so the row image is
     /// internally consistent even while concurrent matchers fill rows.
     /// Work counters are *not* part of the image: they describe the
     /// process, not the repository.
     pub fn export_state(&self) -> StoreState {
-        // Snapshot (stamp, query, Arc) under the exclusive lock — cheap —
-        // then sort and materialise the row copies after releasing it,
-        // so a large export doesn't stall concurrent matchers.
-        let mut rows: Vec<(u64, String, Arc<Vec<f64>>)> = self
+        // Snapshot (stamp, query, Arc, covered run) under the exclusive
+        // lock — cheap — then sort and materialise the row copies after
+        // releasing it, so a large export doesn't stall concurrent
+        // matchers.
+        let mut rows: Vec<(u64, String, Arc<Vec<f64>>, usize)> = self
             .rows
             .write()
             .iter()
-            .map(|(query, entry)| {
-                (
-                    entry.last_used.load(Relaxed),
-                    query.clone(),
-                    Arc::clone(&entry.row),
-                )
+            .filter_map(|(query, entry)| {
+                let run = entry.covered_run();
+                let stamp = entry.last_used.load(Relaxed);
+                (run > 0).then(|| (stamp, query.clone(), Arc::clone(&entry.row), run))
             })
             .collect();
         // Oldest first (ties broken by query text so exports are
@@ -1715,7 +1722,7 @@ impl LabelStore {
                 .collect(),
             rows: rows
                 .into_iter()
-                .map(|(_, query, row)| (query, (*row).clone()))
+                .map(|(_, query, row, run)| (query, row[..run].to_vec()))
                 .collect(),
             max_cached_rows: self.config().max_cached_rows,
             batch_threads: self.batch_threads,
@@ -1814,13 +1821,7 @@ impl LabelStore {
         let mut clock = 0u64;
         for (query, row) in state.rows.into_iter().skip(keep_from) {
             clock += 1;
-            rows.insert(
-                query,
-                CachedRow {
-                    row: Arc::new(row),
-                    last_used: AtomicU64::new(clock),
-                },
-            );
+            rows.insert(query, CachedRow::swept(Arc::new(row), clock));
         }
         LabelStore {
             counters: Counters::new(StoreCounters {
@@ -1836,7 +1837,6 @@ impl LabelStore {
             removed,
             generations,
             rows: RwLock::new(rows),
-            partial_rows: RwLock::default(),
             bound_memo: Arc::default(),
             clock: AtomicU64::new(clock),
             max_cached_rows: AtomicUsize::new(cap),
@@ -1884,7 +1884,6 @@ impl Clone for LabelStore {
             removed: self.removed.clone(),
             generations: self.generations.clone(),
             rows: RwLock::new(rows),
-            partial_rows: RwLock::new(self.partial_rows.read().clone()),
             bound_memo: Arc::clone(&self.bound_memo),
             clock: AtomicU64::new(self.clock.load(Relaxed)),
             max_cached_rows: AtomicUsize::new(self.max_cached_rows.load(Relaxed)),
@@ -1903,7 +1902,6 @@ impl std::fmt::Debug for LabelStore {
             .field("schemas", &self.columns.slots())
             .field("live_schemas", &self.live_schema_count())
             .field("cached_rows", &self.cached_rows())
-            .field("partial_rows", &self.cached_partial_rows())
             .field("bound_rows", &self.cached_bound_rows())
             .field("config", &self.config())
             .field("kernel_variant", &KernelVariant::active())
@@ -2115,7 +2113,7 @@ mod tests {
         // Full-row path untouched: no lookups, hits, or misses counted.
         assert_eq!(c.row_lookups, 0);
         assert_eq!(c.row_hits + c.row_misses, c.row_lookups);
-        assert_eq!(store.cached_rows(), 0, "partials never enter the row cache");
+        assert_eq!(store.cached_rows(), 2, "one row map holds subset rows");
         let scalar = NameSimilarity::default();
         for (q, row) in ["orderTitle", "bookIsbn"].iter().zip(&rows) {
             for &col in &cols {
@@ -2127,7 +2125,7 @@ mod tests {
                 );
             }
         }
-        // Repeat subset: served from the partial row, zero kernel work.
+        // Repeat subset: served from the cached row, zero kernel work.
         let evals = store.pair_evals();
         store.score_rows_subset(&["orderTitle"], &cols);
         assert_eq!(store.pair_evals(), evals);
@@ -2135,10 +2133,10 @@ mod tests {
         // Widening the subset computes only the new column.
         store.score_rows_subset(&["orderTitle"], &[0, 1, 2]);
         assert_eq!(store.pair_evals(), evals + 1);
-        // The full row afterwards is still computed from scratch,
-        // bitwise identical — partials never poison the full path.
+        // The full row afterwards reuses the covered leading run 0..3 and
+        // sweeps only the tail, bitwise identical to a fresh sweep.
         let full = store.score_row("orderTitle");
-        assert_eq!(store.pair_evals(), evals + 1 + n as u64);
+        assert_eq!(store.pair_evals(), evals + 1 + (n - 3) as u64);
         for (id, d) in full.iter().enumerate() {
             let label = store.interner().resolve(LabelId(id as u32));
             assert_eq!(d.to_bits(), scalar.distance("orderTitle", label).to_bits());
@@ -2179,7 +2177,27 @@ mod tests {
         store.clear_rows();
         let evals = store.pair_evals();
         store.score_rows_subset(&["title"], &[0]);
-        assert_eq!(store.pair_evals(), evals + 1, "clear_rows drops partials");
+        assert_eq!(
+            store.pair_evals(),
+            evals + 1,
+            "clear_rows drops subset rows"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn subset_rejects_a_repeated_column() {
+        let r = repo();
+        let cols = vec![0; r.store().len() + 1];
+        r.store().score_rows_subset(&["title"], &cols);
+    }
+
+    #[test]
+    #[should_panic(expected = "below len()")]
+    fn subset_rejects_an_out_of_range_column() {
+        let r = repo();
+        r.store()
+            .score_rows_subset(&["title"], &[0, r.store().len()]);
     }
 
     #[test]
@@ -2679,22 +2697,22 @@ mod tests {
         for q in &queries {
             store.score_rows_subset(&[q.as_str()], &[0, 1]);
             store.bound_row(q);
-            assert!(store.cached_partial_rows() <= 3);
+            assert!(store.cached_rows() <= 3);
             assert!(store.cached_bound_rows() <= 3);
         }
-        assert_eq!(store.cached_partial_rows(), 3);
+        assert_eq!(store.cached_rows(), 3);
         // The most recent queries survive, by the same recency rule as
         // full rows.
         let last = queries.last().unwrap().as_str();
         assert!(store.bound_row(last).memo_hit());
         let evals = store.pair_evals();
         store.score_rows_subset(&[last], &[0, 1]);
-        assert_eq!(store.pair_evals(), evals, "recent partial row kept");
+        assert_eq!(store.pair_evals(), evals, "recent subset row kept");
         store.score_rows_subset(&[queries[0].as_str()], &[0, 1]);
-        assert_eq!(store.pair_evals(), evals + 2, "oldest partial row evicted");
-        // Tightening the bound shrinks every kind at once.
+        assert_eq!(store.pair_evals(), evals + 2, "oldest subset row evicted");
+        // Tightening the bound shrinks score and bound rows at once.
         store.set_max_cached_rows(Some(1));
-        assert_eq!(store.cached_partial_rows(), 1);
+        assert_eq!(store.cached_rows(), 1);
         assert_eq!(store.cached_bound_rows(), 1);
     }
 
@@ -2733,7 +2751,6 @@ mod tests {
         }
         for (name, value) in [
             ("store.cached_rows", 1.0),
-            ("store.cached_partial_rows", 0.0),
             ("store.cached_bound_rows", 1.0),
             ("store.live_schemas", 2.0),
             ("store.orphaned_labels", 0.0),

@@ -2,8 +2,8 @@
 //! interleaving of ingests, row fetches, candidate-subset fetches,
 //! candidate-tier bound-row fetches, and bound changes —
 //!
-//! * full rows, partial rows, and memoised bound rows each stay within
-//!   `max_cached_rows`,
+//! * score rows (swept and subset-filled alike, under one bound) and
+//!   memoised bound rows each stay within `max_cached_rows`,
 //! * evicted rows recompute to bitwise-equal values (every fetched row
 //!   is checked against the scalar `NameSimilarity` oracle, every bound
 //!   row against the filter index's dense passes), and
@@ -25,7 +25,7 @@ enum Op {
     /// sweep).
     Query(usize),
     /// Fetch `LABEL_POOL[i]`'s row restricted to every other column
-    /// (full-row hit, partial-row hit, or partial fill).
+    /// (full-row hit, covered-column hit, or subset fill).
     Subset(usize),
     /// Fetch `LABEL_POOL[i]`'s candidate-tier bound row (memo hit or
     /// build) and refine it, as candidate generation does.
@@ -103,6 +103,41 @@ fn assert_bounds_are_exact(repo: &Repository, query: &str) {
     }
 }
 
+/// A swept row that went stale when an `add` interned new labels still
+/// covers every column below its old width, so a subset inside that
+/// width costs no kernel work.
+#[test]
+fn stale_prefix_serves_the_subset_columns_it_covers() {
+    let mut repo = small_repository(StoreConfig::default());
+    repo.store().score_row("title");
+    let width = repo.store().len();
+    repo.add(schema_with_label("title", 1));
+    assert!(repo.store().len() > width, "the add interns new labels");
+    let cols: Vec<usize> = (0..width).step_by(2).collect();
+    let evals = repo.store().pair_evals();
+    let rows = repo.store().score_rows_subset(&["title"], &cols);
+    assert_eq!(repo.store().pair_evals(), evals, "no pair re-evaluated");
+    assert_subset_is_oracle(&repo, "title", &cols, &rows[0]);
+}
+
+/// Swept and subset-filled rows share one bound: under a bound of 1, a
+/// subset fill evicts the swept row, which then sweeps again in full.
+#[test]
+fn one_bound_covers_swept_and_subset_rows() {
+    let repo = small_repository(StoreConfig {
+        max_cached_rows: Some(1),
+        ..StoreConfig::default()
+    });
+    let store = repo.store();
+    store.score_row("title");
+    store.score_rows_subset(&["price"], &[0, 1]);
+    assert_eq!(store.cached_rows(), 1);
+    let evals = store.pair_evals();
+    let row = store.score_row("title");
+    assert_eq!(store.pair_evals(), evals + store.len() as u64);
+    assert_row_is_oracle(&repo, "title", &row);
+}
+
 proptest! {
     #[test]
     fn lru_invariants_hold_under_any_interleaving(operations in ops(), cap0 in 1..5usize) {
@@ -139,7 +174,6 @@ proptest! {
             let store = repo.store();
             for (kind, held) in [
                 ("rows", store.cached_rows()),
-                ("partial rows", store.cached_partial_rows()),
                 ("bound rows", store.cached_bound_rows()),
             ] {
                 prop_assert!(

@@ -4,7 +4,10 @@
 //! atomic [`StoreCounters`](smx_repo::StoreCounters) — even when many
 //! threads hammer a tightly bounded cache and race on evictions. The
 //! registry increment sits at the same site as the store counter, so
-//! any drift would mean a lost or double-counted update.
+//! any drift would mean a lost or double-counted update. The last gate
+//! mixes full rows, candidate subsets and bound rows: swept and
+//! subset-filled rows share the store's one row map, its lock and its
+//! bound, and every value served stays exact.
 //!
 //! Tracing state is process-global; tests serialize on [`TRACE_LOCK`]
 //! and restore the disabled state before returning.
@@ -193,8 +196,8 @@ fn instrumented_wrapper_matches_baseline_bitwise() {
     );
 }
 
-/// Every caller shares the store's one row lock, one partial-row lock
-/// and one bound-row memo. Four threads, released together, mix full
+/// Every caller shares the store's one row lock and one bound-row
+/// memo. Four threads, released together, mix full
 /// rows, subsets over two different column sets, and bound rows on a
 /// cache bounded at 2, while one thread tightens the bound to 1
 /// midway. Afterwards every value a thread received equals the scalar
@@ -275,7 +278,6 @@ fn mixed_callers_on_one_lock_stay_exact_and_bounded() {
     }
     for (kind, held) in [
         ("rows", store.cached_rows()),
-        ("partial rows", store.cached_partial_rows()),
         ("bound rows", store.cached_bound_rows()),
     ] {
         assert!(held <= 1, "{held} {kind} cached above the final bound 1");
