@@ -1,9 +1,9 @@
-//! Shared harness code for the figure-regeneration binaries and the
-//! criterion benches.
+//! Shared harness code for the figure-regeneration binaries.
 //!
 //! Every evaluation-bearing figure of the paper has one binary under
-//! `src/bin/` (see DESIGN.md's experiment index). They all print aligned
-//! text tables plus CSV lines, so series can be diffed and re-plotted.
+//! `src/bin/`, named after the figure it regenerates. They all print
+//! aligned text tables plus CSV lines, so series can be diffed and
+//! re-plotted.
 
 use smx::pipeline::Experiment;
 use smx::synth::ScenarioConfig;

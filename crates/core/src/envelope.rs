@@ -75,9 +75,10 @@ impl BoundsEnvelope {
     }
 
     /// Ratio-space envelope for a hypothetical S2 with a fixed ratio `Â`
-    /// at every threshold (Figure 9). Uses the closed-form equations, so
-    /// no rounding of counts occurs; the incremental bounds are computed
-    /// on the implied fractional sizes.
+    /// at every threshold (Figure 9). Goes through
+    /// [`from_ratio_curve`](Self::from_ratio_curve) with a constant
+    /// curve, so each size is `Â·|A1|` rounded to the nearest count and
+    /// clamped into the feasible band.
     pub fn fixed_ratio(s1_curve: &PrCurve, ratio: SizeRatio) -> Result<Self, BoundsError> {
         let curve = RatioCurve::constant(&s1_curve.thresholds(), ratio);
         Self::from_ratio_curve(s1_curve, &curve)

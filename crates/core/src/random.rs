@@ -229,4 +229,46 @@ mod tests {
         assert_eq!(sim[1].answers, 16);
         assert_eq!(sim[1].correct, 6);
     }
+
+    #[test]
+    fn monte_carlo_mean_matches_equations_9_and_10() {
+        use rand::prelude::*;
+        // Four increments of five answers holding 2, 2, 1 and 2 correct
+        // ones; S2 keeps 2, 4, 4 and 4 of them.
+        let curve = PrCurve::from_counts(
+            7,
+            [
+                (0.25, Counts::new(5, 2)),
+                (0.5, Counts::new(10, 4)),
+                (0.75, Counts::new(15, 5)),
+                (1.0, Counts::new(20, 7)),
+            ],
+        )
+        .unwrap();
+        let incs: Vec<Counts> = curve_increments(&curve).iter().map(|i| i.counts).collect();
+        let a2_increments = [2usize, 4, 4, 4];
+        let predicted = random_baseline_from_counts(&curve, &[2, 6, 10, 14]).unwrap();
+        let runs = 3000;
+        let mut mean_correct = [0.0f64; 4];
+        for seed in 0..runs {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sim = simulate_random_selection(&incs, &a2_increments, |n, k| {
+                let indices: Vec<usize> = (0..n).collect();
+                indices.choose_multiple(&mut rng, k).copied().collect()
+            });
+            let mut correct = 0usize;
+            for (j, inc) in sim.iter().enumerate() {
+                correct += inc.correct;
+                mean_correct[j] += correct as f64;
+            }
+        }
+        for (j, p) in predicted.iter().enumerate() {
+            let empirical = mean_correct[j] / runs as f64;
+            assert!(
+                (empirical - p.expected_correct).abs() < 0.15,
+                "increment {j}: empirical {empirical} vs predicted {}",
+                p.expected_correct
+            );
+        }
+    }
 }

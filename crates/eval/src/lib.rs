@@ -20,9 +20,8 @@
 //! * [`topn`] — precision/recall at a result-list cut,
 //! * [`pooling`] — TREC-style pooling and Zobel's shallow-pool estimate,
 //!   the related-work validation techniques the bounds are compared against,
-//! * [`tradeoff`] — certified recall / speed trade-off records for
-//!   non-exhaustive tiers, with admissibility and headline checks, and
-//!   per-stage factor breakdowns for composed pipeline certificates.
+//! * [`tradeoff`] — per-stage factor breakdowns for composed pipeline
+//!   certificates.
 
 pub mod answer;
 pub mod curve;
@@ -41,5 +40,5 @@ pub use interpolate::{InterpolatedCurve, STANDARD_RECALL_LEVELS};
 pub use metrics::{f1_score, precision, recall, Counts};
 pub use pooling::{pool_depth_k, shallow_pool_estimate, PooledTruth};
 pub use topn::{precision_at, recall_at, TopNReport};
-pub use tradeoff::{CertifiedPoint, CertifiedTradeoff, FactorBreakdown, StageFactor, StageInput};
+pub use tradeoff::{FactorBreakdown, StageFactor, StageInput};
 pub use truth::GroundTruth;

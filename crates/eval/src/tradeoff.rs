@@ -1,110 +1,14 @@
-//! Certified recall / speed trade-off reporting.
+//! Per-stage attribution of composed recall certificates.
 //!
 //! A non-exhaustive tier is only worth deploying if the speedup it buys
 //! is paid for honestly — with a *certified* recall bound that never
-//! overstates what the run actually kept. This module records the
-//! trade-off points a certified run produces (one per repository size,
-//! budget, or threshold swept) and checks the two properties the
-//! methodology demands:
-//!
-//! * **admissibility** — every point's certified recall is at most its
-//!   measured recall against the exhaustive oracle (the bound is a true
-//!   lower bound, never optimistic), and
-//! * **the headline** — a joint floor on speedup and certified recall,
-//!   e.g. "≥ 5× at certified recall ≥ 0.95".
-//!
-//! For staged (pipeline) runs, [`FactorBreakdown`] attributes the
-//! composed bound to the stages that paid for it: each stage that
-//! charges answer caps contributes a telescoping factor, and the
-//! product of all factors reproduces the end-to-end certified recall.
+//! overstates what the run actually kept. For staged (pipeline) runs,
+//! [`FactorBreakdown`] attributes the composed bound to the stages that
+//! paid for it: each stage that charges answer caps contributes a
+//! telescoping factor, and the product of all factors reproduces the
+//! end-to-end certified recall.
 
 use serde::{Deserialize, Serialize};
-
-/// One certified run compared against its exhaustive oracle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CertifiedPoint {
-    /// What produced this point, e.g. `"n=1024"` or `"budget=16"`.
-    pub label: String,
-    /// Exhaustive wall-clock divided by certified wall-clock (> 1 means
-    /// the tier is faster).
-    pub speedup: f64,
-    /// The analytic recall lower bound the run's certificate claims.
-    pub certified_recall: f64,
-    /// Recall actually measured against the exhaustive oracle's answers.
-    pub measured_recall: f64,
-}
-
-impl CertifiedPoint {
-    /// `certified ≤ measured + eps`: the certificate never overstates
-    /// what the run kept.
-    pub fn is_admissible(&self, eps: f64) -> bool {
-        self.certified_recall <= self.measured_recall + eps
-    }
-}
-
-/// A swept collection of [`CertifiedPoint`]s.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CertifiedTradeoff {
-    points: Vec<CertifiedPoint>,
-}
-
-impl CertifiedTradeoff {
-    /// Empty trade-off record.
-    pub fn new() -> Self {
-        CertifiedTradeoff::default()
-    }
-
-    /// Append one run's point.
-    pub fn push(&mut self, point: CertifiedPoint) {
-        self.points.push(point);
-    }
-
-    /// The recorded points, in insertion order.
-    pub fn points(&self) -> &[CertifiedPoint] {
-        &self.points
-    }
-
-    /// Number of recorded points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Every point's certificate is admissible within `eps`.
-    pub fn is_admissible(&self, eps: f64) -> bool {
-        self.points.iter().all(|p| p.is_admissible(eps))
-    }
-
-    /// The weakest certified recall across the sweep, `None` when empty.
-    pub fn min_certified_recall(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.certified_recall)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite recall"))
-    }
-
-    /// The smallest speedup across the sweep, `None` when empty.
-    pub fn min_speedup(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.speedup)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite speedup"))
-    }
-
-    /// The headline check: non-empty, and every point clears both
-    /// floors simultaneously.
-    pub fn meets(&self, min_speedup: f64, min_recall: f64) -> bool {
-        !self.points.is_empty()
-            && self
-                .points
-                .iter()
-                .all(|p| p.speedup >= min_speedup && p.certified_recall >= min_recall)
-    }
-}
 
 /// One pipeline stage's contribution to a composed recall certificate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -243,47 +147,6 @@ impl FactorBreakdown {
 mod tests {
     use super::*;
 
-    fn point(label: &str, speedup: f64, certified: f64, measured: f64) -> CertifiedPoint {
-        CertifiedPoint {
-            label: label.to_string(),
-            speedup,
-            certified_recall: certified,
-            measured_recall: measured,
-        }
-    }
-
-    #[test]
-    fn admissibility_is_per_point_and_collective() {
-        let good = point("n=64", 3.0, 0.9, 0.97);
-        let exact = point("n=256", 6.0, 1.0, 1.0);
-        let bad = point("n=1024", 9.0, 0.99, 0.5);
-        assert!(good.is_admissible(0.0));
-        assert!(exact.is_admissible(0.0));
-        assert!(!bad.is_admissible(1e-9));
-
-        let mut sweep = CertifiedTradeoff::new();
-        sweep.push(good);
-        sweep.push(exact);
-        assert!(sweep.is_admissible(1e-12));
-        sweep.push(bad);
-        assert!(!sweep.is_admissible(1e-12));
-        assert_eq!(sweep.len(), 3);
-    }
-
-    #[test]
-    fn headline_requires_both_floors_on_every_point() {
-        let mut sweep = CertifiedTradeoff::new();
-        assert!(!sweep.meets(1.0, 0.0), "empty sweep proves nothing");
-        sweep.push(point("n=256", 6.0, 0.97, 1.0));
-        sweep.push(point("n=1024", 8.0, 0.96, 0.99));
-        assert!(sweep.meets(5.0, 0.95));
-        assert_eq!(sweep.min_certified_recall(), Some(0.96));
-        assert_eq!(sweep.min_speedup(), Some(6.0));
-        sweep.push(point("n=64", 2.0, 1.0, 1.0));
-        assert!(!sweep.meets(5.0, 0.95), "slow point breaks the headline");
-        assert!(sweep.meets(2.0, 0.95));
-    }
-
     #[test]
     fn factor_breakdown_telescopes_to_the_composed_recall() {
         let breakdown = FactorBreakdown::new(
@@ -315,14 +178,5 @@ mod tests {
         let starved = FactorBreakdown::new(0, vec![("truncate(0)".to_string(), 5.0)]);
         assert_eq!(starved.composed_recall(), 0.0);
         assert!(starved.reproduces(0.0, 0.0));
-    }
-
-    #[test]
-    fn empty_sweep_has_no_minima() {
-        let sweep = CertifiedTradeoff::new();
-        assert!(sweep.is_empty());
-        assert_eq!(sweep.min_certified_recall(), None);
-        assert_eq!(sweep.min_speedup(), None);
-        assert!(sweep.is_admissible(0.0), "vacuously admissible");
     }
 }

@@ -558,8 +558,8 @@ impl CandidateGenerator {
 ///
 /// Unlike [`CandidateGenerator::generate`]'s auto mode, the table
 /// always promotes surviving schemas' lanes to full precision — stage
-/// composition and rewriting stay deterministic because every stage
-/// reads the *same* table regardless of where it sits in the pipeline.
+/// composition stays deterministic because every stage reads the
+/// *same* table regardless of where it sits in the pipeline.
 #[derive(Debug, Clone)]
 pub(crate) struct BoundsTable {
     entries: Vec<BoundsEntry>,
@@ -816,24 +816,12 @@ impl CandidateSet {
     pub fn delta_max(&self) -> f64 {
         self.delta_max
     }
-
-    /// Certified recall of a restricted run that found `answers`
-    /// mappings: the exhaustive oracle finds at most
-    /// `answers + caps_sum`, so its recall relative to the oracle is at
-    /// least `answers / (answers + caps_sum)` — and exactly `1.0` when
-    /// nothing uncertified was pruned.
-    pub fn certified_recall(&self, answers: usize) -> f64 {
-        if self.caps_sum == 0.0 {
-            1.0
-        } else {
-            answers as f64 / (answers as f64 + self.caps_sum)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certified::RecallCertificate;
     use crate::exhaustive::ExhaustiveMatcher;
     use crate::mapping::MappingRegistry;
     use crate::matcher::Matcher;
@@ -860,7 +848,10 @@ mod tests {
         let candidates =
             CandidateGenerator::auto(ObjectiveFunction::default()).generate(&problem, delta_max);
         assert_eq!(candidates.caps_sum(), 0.0);
-        assert_eq!(candidates.certified_recall(0), 1.0);
+        assert_eq!(
+            RecallCertificate::new(&candidates, 0).certified_recall(),
+            1.0
+        );
         // Every schema the generator certified empty contributes zero
         // answers to the unrestricted exhaustive run.
         let registry = MappingRegistry::new();
@@ -886,7 +877,7 @@ mod tests {
         let zero = CandidateGenerator::new(objective.clone(), CandidateConfig { budget: Some(0) })
             .generate(&problem, 0.3);
         assert_eq!(zero.active_count(), 0);
-        assert!(zero.certified_recall(0) <= 1.0);
+        assert!(RecallCertificate::new(&zero, 0).certified_recall() <= 1.0);
         let auto = CandidateGenerator::auto(objective.clone()).generate(&problem, 0.3);
         let big = CandidateGenerator::new(
             objective,
@@ -914,7 +905,7 @@ mod tests {
             .generate(&problem, 0.3);
             // More budget ⇒ fewer capped schemas ⇒ certificate (at a
             // fixed answer count) can only improve.
-            let cert = set.certified_recall(5);
+            let cert = RecallCertificate::new(&set, 5).certified_recall();
             assert!(cert >= last - 1e-12, "budget {budget}: {cert} < {last}");
             last = cert;
         }

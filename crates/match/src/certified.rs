@@ -14,16 +14,14 @@
 //! * `certified_recall = answers / (answers + caps_sum)` lower-bounds
 //!   the fraction of the oracle's answers the restricted run retained,
 //!   and equally lower-bounds the paper's answer-size ratio
-//!   `Â = |A_S2| / |A_S1|` — the single experimental input the
+//!   `Â = |A_S2| / |A_S1|` at δ_max — the experimental input the
 //!   effectiveness-bounds machinery (`smx-core`) consumes.
 //!
-//! [`RecallCertificate::worst_case_envelope`] plugs that ratio lower
-//! bound straight into [`BoundsEnvelope::fixed_ratio`]: given S1's
-//! measured P/R curve, it yields guaranteed best/worst P/R bounds for
-//! the certified run. Because the plugged-in ratio is a lower bound on
-//! the true ratio and the worst-case bounds are monotone in the ratio,
-//! the resulting envelope is conservative — the truth can only be
-//! better.
+//! The certified ratio ([`RecallCertificate::ratio_lower_bound`]) bounds
+//! `Â` at δ_max only. At a tighter threshold the restricted run can keep
+//! a smaller share of S1's answers — for example when a pruned schema
+//! holds S1's cheapest answers — so applying the δ_max ratio at every
+//! threshold of S1's curve does not give a worst case that holds.
 //!
 //! **Soundness scope.** The certificate bounds the loss *introduced by
 //! the restriction*. That equals the total loss vs the exhaustive
@@ -38,8 +36,8 @@ use crate::candidates::{CandidateGenerator, CandidateSet};
 use crate::mapping::MappingRegistry;
 use crate::matcher::Matcher;
 use crate::problem::MatchProblem;
-use smx_core::{BoundsEnvelope, BoundsError, SizeRatio};
-use smx_eval::{AnswerSet, PrCurve};
+use smx_core::SizeRatio;
+use smx_eval::AnswerSet;
 
 /// A certified answer set: what the restricted run found, plus the
 /// analytic bound on what it could have missed.
@@ -96,17 +94,9 @@ impl RecallCertificate {
 
     /// The same bound as a validated [`SizeRatio`]: a lower bound on
     /// the answer-size ratio `Â = |A_S2|/|A_S1|` the paper's bounds
-    /// take as input.
+    /// take as input, valid at δ_max only.
     pub fn ratio_lower_bound(&self) -> SizeRatio {
         SizeRatio::new(self.certified_recall()).expect("certified recall is always in [0, 1]")
-    }
-
-    /// Conservative effectiveness bounds for the certified run: S1's
-    /// measured P/R curve combined with the certified ratio lower bound
-    /// through [`BoundsEnvelope::fixed_ratio`]. The worst-case curve is
-    /// a guarantee; the true run can only sit above it.
-    pub fn worst_case_envelope(&self, s1_curve: &PrCurve) -> Result<BoundsEnvelope, BoundsError> {
-        BoundsEnvelope::fixed_ratio(s1_curve, self.ratio_lower_bound())
     }
 
     /// Answers the restricted run found.

@@ -22,8 +22,6 @@
 //!   inside the top-ranked clusters' fragments; loses whole score bands
 //!   (Figure 10's S2-two);
 //! * [`topk`] — \[17\]-style early termination: exactly the top-k answers;
-//! * [`sampler`] — the per-increment random selector of §3.4, used to
-//!   validate Equations (9)–(10) empirically;
 //! * [`batch`] — the bulk serving path: N personal schemas against one
 //!   repository, distinct labels deduped across the batch and swept in
 //!   one pass over the stored label profiles, then any matcher above
@@ -37,11 +35,11 @@
 //!   fill) to the survivors. [`CertifiedMatcher`] wraps any matcher
 //!   above and attaches a [`RecallCertificate`]: a machine-checkable
 //!   lower bound on recall vs the exhaustive oracle, valid with no
-//!   ground truth — and pluggable straight into `smx-core`'s
-//!   effectiveness-bounds envelope as a certified answer-size ratio.
-//!   With no budget the restriction is loss-free and the restricted
-//!   answers are **bitwise identical** to the unrestricted run
-//!   (`tests/candidate_differential.rs`).
+//!   ground truth. At δ_max it also lower-bounds the answer-size ratio
+//!   `Â` that `smx-core`'s effectiveness bounds take; it is not a bound
+//!   on `Â` at tighter thresholds. With no budget the restriction is
+//!   loss-free and the restricted answers are **bitwise identical** to
+//!   the unrestricted run (`tests/candidate_differential.rs`).
 //!
 //! # Pipelines
 //!
@@ -51,8 +49,7 @@
 //! terminal matcher, accumulates every stage's certificate charges,
 //! and — because it implements [`Matcher`] itself — drops into
 //! [`BatchMatcher`], [`CertifiedMatcher`], persistence and the benches
-//! unchanged. A small rewrite layer ([`Pipeline::normalize`]) fuses,
-//! dedups and reorders stages without changing a single answer bit:
+//! unchanged:
 //!
 //! ```
 //! use smx_match::{ExhaustiveMatcher, MappingRegistry, MatchProblem,
@@ -79,12 +76,12 @@
 //! ```
 //!
 //! Stage pruning decisions all read one shared, full-precision bounds
-//! table computed per run, which is what makes the rewrite algebra
-//! sound — see the [`pipeline`] module docs. The pipeline-algebra
-//! differential suites (`tests/pipeline_differential.rs`,
-//! `tests/pipeline_algebra.rs`) hold `normalize` to bitwise answer
-//! identity and composed certificates to admissibility across random
-//! stage compositions and budgets.
+//! table computed per run — see the [`pipeline`] module docs. The
+//! pipeline differential suites (`tests/pipeline_differential.rs`,
+//! `tests/pipeline_algebra.rs`) hold pipelines to bitwise answer
+//! identity with their monolithic counterparts and composed
+//! certificates to admissibility across random stage compositions and
+//! budgets.
 //!
 //! # The scoring engine
 //!
@@ -134,7 +131,6 @@ pub mod matcher;
 pub mod objective;
 pub mod pipeline;
 pub mod problem;
-pub mod sampler;
 pub mod space;
 pub mod test_support;
 pub mod topk;
@@ -153,10 +149,8 @@ pub use matcher::Matcher;
 pub use objective::{ObjectiveConfig, ObjectiveFunction};
 pub use pipeline::{
     BeamFilter, CandidateFilter, Pipeline, PipelineAnswer, PipelineBuilder, PipelineCertificate,
-    PredicateId, RefineStage, SizeFilter, Stage, StageContext, StageKind, StageOutput, StageReport,
-    Truncate,
+    RefineStage, Stage, StageContext, StageOutput, StageReport, Truncate,
 };
 pub use problem::MatchProblem;
-pub use sampler::random_selection;
 pub use space::{falling_factorial, search_space_size};
 pub use topk::TopKMatcher;

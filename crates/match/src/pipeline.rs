@@ -13,36 +13,25 @@
 //! [`CertifiedMatcher`](crate::CertifiedMatcher), persistence and the
 //! benches exactly like a monolithic matcher.
 //!
-//! # The stage algebra
+//! # Stages
 //!
 //! Every bound-based stage prunes against one shared, per-run
 //! [`BoundsTable`](crate::candidates): each schema's certified-empty
 //! flag, mapping-cost lower bound, and admissible answer cap, computed
-//! once at full precision the first time any stage asks for it. That
-//! sharing is what makes the stages *algebraic* — a stage's decision
-//! for a schema depends only on the table and the schema itself, never
-//! on where the stage sits in the pipeline, so rewrites preserve
-//! answers bit for bit:
+//! once at full precision the first time any stage asks for it. There
+//! are three kinds of stage:
 //!
-//! * **predicate filters** ([`SizeFilter`], [`CandidateFilter`],
-//!   [`BeamFilter`]) decide keep/drop per schema independently; they
-//!   commute pairwise and are idempotent;
+//! * **filters** ([`CandidateFilter`], [`BeamFilter`]) decide keep/drop
+//!   for each active schema;
 //! * **selection stages** ([`Truncate`]) keep a count-bounded subset of
-//!   the survivors ranked by the table's cost lower bound; they do
-//!   *not* commute with predicate filters (truncating first would
-//!   waste slots on schemas a filter certifies empty) and act as
-//!   rewrite barriers;
+//!   the survivors ranked by the table's cost lower bound;
 //! * **terminal stages** ([`RefineStage`]) run a full matcher on the
 //!   surviving restriction and end the pipeline.
 //!
-//! [`Pipeline::normalize`] applies the safe rewrites — drop statically
-//! no-op stages, fuse adjacent truncations, dedup repeated predicates,
-//! absorb a size filter into a certified-empty filter, and reorder each
-//! run of adjacent predicate filters cheapest-first. The
-//! `pipeline_differential` / `pipeline_algebra` suites hold the module
-//! to the algebra's word: a normalized pipeline must be
-//! answer-bitwise-identical to its source, and composed certificates
-//! must stay admissible for arbitrary stage orders and budgets.
+//! The `pipeline_differential` / `pipeline_algebra` suites hold
+//! pipelines to their monolithic counterparts bit for bit, and
+//! composed certificates to admissibility for arbitrary stage orders
+//! and budgets.
 //!
 //! # Certificate composition
 //!
@@ -145,51 +134,6 @@ pub enum StageOutput {
     Final(AnswerSet),
 }
 
-/// Which predicate a filter stage applies — the identity the rewrite
-/// rules dedup and reorder by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredicateId {
-    /// Drop schemas too small for an injective assignment.
-    Size,
-    /// Drop schemas the bounds table certifies empty.
-    CertEmpty,
-    /// Drop schemas where a width-`width` beam finds no answer.
-    Beam {
-        /// The beam width.
-        width: usize,
-    },
-}
-
-impl PredicateId {
-    /// Relative evaluation cost, for cheapest-first reordering: a size
-    /// check is free, a table lookup is cheap, a beam pre-search is
-    /// the expensive one.
-    pub fn cost(self) -> u8 {
-        match self {
-            PredicateId::Size => 0,
-            PredicateId::CertEmpty => 1,
-            PredicateId::Beam { .. } => 2,
-        }
-    }
-}
-
-/// A stage's algebraic shape, as seen by [`Pipeline::normalize`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
-    /// Per-schema keep/drop decided independently of the rest of the
-    /// active set; idempotent; commutes with other predicates.
-    Predicate(PredicateId),
-    /// Keeps the `keep` most promising survivors; a rewrite barrier.
-    Truncate {
-        /// How many schemas survive.
-        keep: usize,
-    },
-    /// Produces the final answer set.
-    Terminal,
-    /// Unknown semantics — no rewrite crosses it.
-    Opaque,
-}
-
 /// One step of a matching pipeline.
 ///
 /// A stage must be deterministic in `(cx, active)` and, when narrowing,
@@ -200,54 +144,12 @@ pub trait Stage: Send + Sync + fmt::Debug {
     /// Display name, e.g. `"truncate(8)"`.
     fn name(&self) -> String;
 
-    /// The stage's algebraic shape. Implementations outside this
-    /// module should return [`StageKind::Opaque`] (the default) unless
-    /// they genuinely satisfy a kind's contract — `normalize` rewrites
-    /// on the strength of it.
-    fn kind(&self) -> StageKind {
-        StageKind::Opaque
-    }
-
     /// Apply the stage.
     fn apply(&self, cx: &StageContext<'_>, active: &CandidateSet) -> StageOutput;
 }
 
-/// Predicate filter: drop schemas with fewer nodes than the personal
-/// schema — no injective assignment can exist, so pruning is free.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SizeFilter;
-
-impl Stage for SizeFilter {
-    fn name(&self) -> String {
-        "size".to_string()
-    }
-
-    fn kind(&self) -> StageKind {
-        StageKind::Predicate(PredicateId::Size)
-    }
-
-    fn apply(&self, cx: &StageContext<'_>, active: &CandidateSet) -> StageOutput {
-        let problem = cx.problem();
-        let repo = problem.repository();
-        let k = problem.personal_size();
-        let mut kept = Vec::with_capacity(active.active_count());
-        let mut dropped = 0usize;
-        for &sid in active.active().ids() {
-            if repo.schema(sid).len() < k {
-                dropped += 1;
-            } else {
-                kept.push(sid);
-            }
-        }
-        if dropped == 0 {
-            return StageOutput::Narrowed(active.clone());
-        }
-        StageOutput::Narrowed(active.narrow(problem, kept, dropped, 0.0))
-    }
-}
-
-/// Predicate filter: drop every schema the shared bounds table
-/// certifies empty at the threshold — the pipeline form of
+/// Filter: drop every schema the shared bounds table certifies empty at
+/// the threshold — the pipeline form of
 /// [`CandidateGenerator`](crate::CandidateGenerator)'s auto mode.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CandidateFilter;
@@ -255,10 +157,6 @@ pub struct CandidateFilter;
 impl Stage for CandidateFilter {
     fn name(&self) -> String {
         "candidates".to_string()
-    }
-
-    fn kind(&self) -> StageKind {
-        StageKind::Predicate(PredicateId::CertEmpty)
     }
 
     fn apply(&self, cx: &StageContext<'_>, active: &CandidateSet) -> StageOutput {
@@ -305,10 +203,6 @@ impl Stage for Truncate {
         format!("truncate({})", self.keep)
     }
 
-    fn kind(&self) -> StageKind {
-        StageKind::Truncate { keep: self.keep }
-    }
-
     fn apply(&self, cx: &StageContext<'_>, active: &CandidateSet) -> StageOutput {
         if active.active_count() <= self.keep {
             return StageOutput::Narrowed(active.clone());
@@ -339,14 +233,9 @@ impl Stage for Truncate {
     }
 }
 
-/// Predicate filter: run a per-schema beam search over the survivors
-/// and drop every schema where the beam finds no answer, charging its
-/// cap — "beam as filter", feeding e.g. exhaustive-on-survivors.
-///
-/// Beam survival is decided per schema from that schema's cost table
-/// alone, so this *is* a predicate: it commutes with the other filters
-/// and is idempotent (a schema the beam answered once it answers again
-/// on any narrower restriction that retains it).
+/// Filter: run a per-schema beam search over the survivors and drop
+/// every schema where the beam finds no answer, charging its cap —
+/// "beam as filter", feeding e.g. exhaustive-on-survivors.
 #[derive(Debug, Clone, Copy)]
 pub struct BeamFilter {
     width: usize,
@@ -367,10 +256,6 @@ impl BeamFilter {
 impl Stage for BeamFilter {
     fn name(&self) -> String {
         format!("beam({})", self.width)
-    }
-
-    fn kind(&self) -> StageKind {
-        StageKind::Predicate(PredicateId::Beam { width: self.width })
     }
 
     fn apply(&self, cx: &StageContext<'_>, active: &CandidateSet) -> StageOutput {
@@ -427,10 +312,6 @@ impl<M: Matcher + Send + Sync + fmt::Debug> RefineStage<M> {
 impl<M: Matcher + Send + Sync + fmt::Debug> Stage for RefineStage<M> {
     fn name(&self) -> String {
         format!("refine({})", self.inner.name())
-    }
-
-    fn kind(&self) -> StageKind {
-        StageKind::Terminal
     }
 
     fn apply(&self, cx: &StageContext<'_>, active: &CandidateSet) -> StageOutput {
@@ -547,7 +428,7 @@ pub struct PipelineAnswer {
 ///
 /// Built with [`Pipeline::builder`]; implements [`Matcher`], so it
 /// drops anywhere a monolithic matcher goes. See the
-/// [module docs](self) for the stage algebra and certificate
+/// [module docs](self) for the stage kinds and certificate
 /// composition.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -589,15 +470,6 @@ impl Pipeline {
     /// The pipeline's shared objective.
     pub fn objective(&self) -> &ObjectiveFunction {
         &self.objective
-    }
-
-    /// Display names of all stages, filters first, terminal last.
-    pub fn stage_names(&self) -> Vec<String> {
-        self.filters
-            .iter()
-            .map(|s| s.name())
-            .chain(std::iter::once(self.terminal.name()))
-            .collect()
     }
 
     /// Run the pipeline and return answers plus the composed
@@ -724,108 +596,6 @@ impl Pipeline {
             },
         }
     }
-
-    /// Rewrite the pipeline into a cheaper equivalent form. The
-    /// rewrites only use [`Stage::kind`] facts:
-    ///
-    /// 1. drop statically no-op stages (`truncate(usize::MAX)`);
-    /// 2. fuse adjacent truncations into one with the smaller budget;
-    /// 3. within each maximal run of adjacent predicate filters: drop
-    ///    repeated predicates (idempotence), absorb a size filter into
-    ///    a certified-empty filter (which implies it), and reorder the
-    ///    run cheapest-first (commutation).
-    ///
-    /// Selection stages, terminals and [`StageKind::Opaque`] stages are
-    /// barriers: nothing is moved across them. The differential suite
-    /// asserts a normalized pipeline's answers — and its composed
-    /// certificate — are bitwise identical to the source pipeline's.
-    pub fn normalize(&self) -> Pipeline {
-        let mut stages = self.filters.clone();
-        loop {
-            let mut changed = false;
-
-            // Rule 1: statically no-op stages.
-            let before = stages.len();
-            stages.retain(|s| !matches!(s.kind(), StageKind::Truncate { keep: usize::MAX }));
-            changed |= stages.len() != before;
-
-            // Rule 2: fuse adjacent truncations.
-            let mut fused: Vec<Arc<dyn Stage>> = Vec::with_capacity(stages.len());
-            for stage in stages.drain(..) {
-                if let (Some(StageKind::Truncate { keep: a }), StageKind::Truncate { keep: b }) =
-                    (fused.last().map(|s| s.kind()), stage.kind())
-                {
-                    fused.pop();
-                    fused.push(Arc::new(Truncate::new(a.min(b))));
-                    changed = true;
-                } else {
-                    fused.push(stage);
-                }
-            }
-            stages = fused;
-
-            // Rule 3: normalise each maximal predicate run.
-            let mut out: Vec<Arc<dyn Stage>> = Vec::with_capacity(stages.len());
-            let mut run: Vec<Arc<dyn Stage>> = Vec::new();
-            for stage in stages.drain(..) {
-                if matches!(stage.kind(), StageKind::Predicate(_)) {
-                    run.push(stage);
-                } else {
-                    normalize_predicate_run(&mut run, &mut changed);
-                    out.append(&mut run);
-                    out.push(stage);
-                }
-            }
-            normalize_predicate_run(&mut run, &mut changed);
-            out.append(&mut run);
-            stages = out;
-
-            if !changed {
-                break;
-            }
-        }
-        Pipeline::assemble(self.objective.clone(), stages, self.terminal.clone())
-    }
-}
-
-/// Apply the predicate-run rewrites (dedup, size absorption,
-/// cheapest-first order) to one maximal run of adjacent predicates.
-fn normalize_predicate_run(run: &mut Vec<Arc<dyn Stage>>, changed: &mut bool) {
-    if run.len() < 2 {
-        return;
-    }
-    let before = run.len();
-    let mut seen: Vec<PredicateId> = Vec::new();
-    run.retain(|s| match s.kind() {
-        StageKind::Predicate(id) => {
-            if seen.contains(&id) {
-                false
-            } else {
-                seen.push(id);
-                true
-            }
-        }
-        _ => true,
-    });
-    if seen.contains(&PredicateId::CertEmpty) && seen.contains(&PredicateId::Size) {
-        run.retain(|s| s.kind() != StageKind::Predicate(PredicateId::Size));
-    }
-    *changed |= run.len() != before;
-    let costs: Vec<u8> = run
-        .iter()
-        .map(|s| match s.kind() {
-            StageKind::Predicate(id) => id.cost(),
-            _ => u8::MAX,
-        })
-        .collect();
-    if costs.windows(2).any(|w| w[0] > w[1]) {
-        // Stable, so equal-cost predicates keep their relative order.
-        run.sort_by_key(|s| match s.kind() {
-            StageKind::Predicate(id) => id.cost(),
-            _ => u8::MAX,
-        });
-        *changed = true;
-    }
 }
 
 impl Matcher for Pipeline {
@@ -858,11 +628,6 @@ impl PipelineBuilder {
     pub fn stage_arc(mut self, stage: Arc<dyn Stage>) -> Self {
         self.filters.push(stage);
         self
-    }
-
-    /// Append a [`SizeFilter`].
-    pub fn size_filter(self) -> Self {
-        self.stage(SizeFilter)
     }
 
     /// Append a [`CandidateFilter`].
@@ -913,7 +678,6 @@ mod tests {
     fn pipeline_certificate_books_balance() {
         let problem = problem();
         let pipe = Pipeline::builder(ObjectiveFunction::default())
-            .size_filter()
             .candidate_filter()
             .truncate(3)
             .refine(ExhaustiveMatcher::default());
@@ -929,54 +693,5 @@ mod tests {
             assert_eq!(pair[0].active_out, pair[1].active_in);
         }
         assert_eq!(cert.certificate().answer_count(), run.answers.len());
-    }
-
-    #[test]
-    fn normalize_applies_the_documented_rules() {
-        let pipe = Pipeline::builder(ObjectiveFunction::default())
-            .candidate_filter()
-            .size_filter()
-            .truncate(usize::MAX)
-            .candidate_filter()
-            .truncate(9)
-            .truncate(4)
-            .refine(ExhaustiveMatcher::default());
-        let normal = pipe.normalize();
-        assert_eq!(
-            normal.stage_names(),
-            vec![
-                "candidates".to_string(),
-                "truncate(4)".to_string(),
-                "refine(S1-exhaustive)".to_string(),
-            ],
-            "dedup + size absorption + no-op drop + truncate fusion"
-        );
-        // Normalisation is idempotent.
-        assert_eq!(normal.normalize().stage_names(), normal.stage_names());
-    }
-
-    #[test]
-    fn normalize_orders_predicates_cheapest_first_and_respects_barriers() {
-        let pipe = Pipeline::builder(ObjectiveFunction::default())
-            .beam_filter(8)
-            .size_filter()
-            .truncate(5)
-            .beam_filter(8)
-            .candidate_filter()
-            .refine(ExhaustiveMatcher::default());
-        let normal = pipe.normalize();
-        assert_eq!(
-            normal.stage_names(),
-            vec![
-                "size".to_string(),
-                "beam(8)".to_string(),
-                "truncate(5)".to_string(),
-                "candidates".to_string(),
-                "beam(8)".to_string(),
-                "refine(S1-exhaustive)".to_string(),
-            ],
-            "sorts within runs only; truncate is a barrier, so the \
-             second beam is not a duplicate of the first"
-        );
     }
 }

@@ -53,7 +53,10 @@ fn auto_budget_is_bitwise_identical_for_all_matchers() {
         let candidates = generator.generate(&problem, delta_max);
         // Auto budget keeps every non-certified-empty schema: exact tier.
         assert_eq!(candidates.caps_sum(), 0.0);
-        assert_eq!(candidates.certified_recall(0), 1.0);
+        assert_eq!(
+            RecallCertificate::new(&candidates, 0).certified_recall(),
+            1.0
+        );
         let restricted = problem.with_candidates(&candidates);
         for (name, matcher) in all_matchers() {
             let oracle = matcher.run(&problem, delta_max, &registry);

@@ -1,17 +1,10 @@
 //! Element clustering over a repository.
 //!
-//! Two methods with the same output type:
-//!
-//! * [`greedy_clustering`] — single-pass leader clustering: each element
-//!   joins the first cluster whose centroid is at least `threshold`
-//!   similar, else founds a new one. `O(n·c)`; this is the rough-but-fast
-//!   method a scalable matcher uses online.
-//! * [`agglomerative_clustering`] — average-linkage bottom-up merging to a
-//!   target cluster count. `O(n³)` reference implementation for quality
-//!   comparisons and the clustering ablation bench.
-//!
-//! Cluster quality is summarised by [`Clustering::mean_intra_similarity`]
-//! (cohesion) and ranked against a query with [`Clustering::rank_against`].
+//! [`greedy_clustering`] is single-pass leader clustering: each element
+//! joins the most similar cluster whose centroid is at least `threshold`
+//! similar, else founds a new one. `O(n·c)`; this is the rough-but-fast
+//! method a scalable matcher uses online. Clusters are ranked against a
+//! query with [`Clustering::rank_against`].
 
 use crate::feature::{element_features, ElementFeatures};
 use crate::repository::{ElementRef, Repository};
@@ -73,24 +66,6 @@ impl Clustering {
         self.clusters.iter().map(Cluster::len).sum()
     }
 
-    /// Mean pairwise member-to-centroid similarity — a cheap cohesion
-    /// measure in `[0, 1]` (1 = perfectly tight clusters).
-    pub fn mean_intra_similarity(&self, repo: &Repository) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for c in &self.clusters {
-            for &m in &c.members {
-                total += element_features(repo, m).cosine(&c.centroid);
-                count += 1;
-            }
-        }
-        if count == 0 {
-            1.0
-        } else {
-            total / count as f64
-        }
-    }
-
     /// Rank cluster indices by centroid similarity to `query`, best first.
     pub fn rank_against(&self, query: &ElementFeatures) -> Vec<(usize, f64)> {
         let mut ranked: Vec<(usize, f64)> = self
@@ -124,71 +99,6 @@ pub fn greedy_clustering(repo: &Repository, threshold: f64) -> Clustering {
             None => clusters.push(Cluster::singleton(eref, features)),
         }
     }
-    Clustering { clusters }
-}
-
-/// Average-linkage agglomerative clustering down to `target` clusters.
-pub fn agglomerative_clustering(repo: &Repository, target: usize) -> Clustering {
-    let elements: Vec<ElementRef> = repo.elements().collect();
-    let features: Vec<ElementFeatures> = elements
-        .iter()
-        .map(|&e| element_features(repo, e))
-        .collect();
-    let n = elements.len();
-    if n == 0 {
-        return Clustering::default();
-    }
-    let target = target.clamp(1, n);
-    // Active clusters as member-index lists.
-    let mut groups: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    // Pairwise element similarity matrix (upper triangle).
-    let sim = |a: usize, b: usize| features[a].cosine(&features[b]);
-    let mut matrix = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let s = sim(i, j);
-            matrix[i * n + j] = s;
-            matrix[j * n + i] = s;
-        }
-    }
-    // Average linkage between groups.
-    let linkage = |ga: &[usize], gb: &[usize], matrix: &[f64]| -> f64 {
-        let mut total = 0.0;
-        for &a in ga {
-            for &b in gb {
-                total += matrix[a * n + b];
-            }
-        }
-        total / (ga.len() * gb.len()) as f64
-    };
-    while groups.len() > target {
-        let mut best = (0usize, 1usize, f64::NEG_INFINITY);
-        for i in 0..groups.len() {
-            for j in (i + 1)..groups.len() {
-                let l = linkage(&groups[i], &groups[j], &matrix);
-                if l > best.2 {
-                    best = (i, j, l);
-                }
-            }
-        }
-        let (i, j, _) = best;
-        let merged = groups.swap_remove(j);
-        groups[i].extend(merged);
-    }
-    let clusters = groups
-        .into_iter()
-        .map(|g| {
-            let mut centroid = ElementFeatures::default();
-            let members: Vec<ElementRef> = g
-                .iter()
-                .map(|&idx| {
-                    centroid.merge(&features[idx]);
-                    elements[idx]
-                })
-                .collect();
-            Cluster { members, centroid }
-        })
-        .collect();
     Clustering { clusters }
 }
 
@@ -250,37 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn agglomerative_reaches_target() {
-        let r = repo();
-        for target in [1, 2, 4, 8] {
-            let clustering = agglomerative_clustering(&r, target);
-            assert_eq!(clustering.len(), target.min(r.total_elements()));
-            assert_eq!(clustering.total_members(), r.total_elements());
-        }
-    }
-
-    #[test]
-    fn agglomerative_groups_topics() {
-        let r = repo();
-        let clustering = agglomerative_clustering(&r, 2);
-        // With two clusters, book-ish leaves should not share a cluster
-        // with order-ish leaves.
-        let find = |name: &str| -> usize {
-            clustering
-                .clusters()
-                .iter()
-                .position(|c| c.members.iter().any(|&m| r.element_name(m) == name))
-                .unwrap()
-        };
-        assert_eq!(find("bookTitle"), find("bookAuthor"));
-        assert_eq!(find("orderDate"), find("orderTotal"));
-        assert_ne!(find("bookTitle"), find("orderDate"));
-    }
-
-    #[test]
     fn ranking_prefers_matching_topic() {
         let r = repo();
-        let clustering = agglomerative_clustering(&r, 2);
+        let clustering = greedy_clustering(&r, 0.3);
+        assert!(clustering.len() >= 2);
         let q = query_features(&["book", "title", "author"]);
         let ranked = clustering.rank_against(&q);
         let top = &clustering.clusters()[ranked[0].0];
@@ -292,18 +175,8 @@ mod tests {
     }
 
     #[test]
-    fn cohesion_improves_with_more_clusters() {
-        let r = repo();
-        let coarse = agglomerative_clustering(&r, 1);
-        let fine = agglomerative_clustering(&r, 4);
-        assert!(fine.mean_intra_similarity(&r) >= coarse.mean_intra_similarity(&r) - 1e-9);
-    }
-
-    #[test]
     fn empty_repository_clusters() {
         let r = Repository::new();
         assert!(greedy_clustering(&r, 0.5).is_empty());
-        assert!(agglomerative_clustering(&r, 3).is_empty());
-        assert_eq!(Clustering::default().mean_intra_similarity(&r), 1.0);
     }
 }

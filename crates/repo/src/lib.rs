@@ -18,8 +18,7 @@
 //! * [`feature`] — token-based feature vectors for repository elements
 //!   (name, path context, type),
 //! * [`cluster`] — greedy leader clustering (the fast method a scalable
-//!   matcher would use) and average-linkage agglomerative clustering (the
-//!   reference method), plus quality measures,
+//!   matcher would use) and ranking of clusters against a query,
 //! * [`fragment`] — per-schema fragments induced by a cluster selection:
 //!   the element sets a cluster-restricted matcher is allowed to target,
 //! * [`filter_index`] — the candidate-generation tier's filter lanes
@@ -47,7 +46,7 @@ pub mod repository;
 pub mod store;
 
 pub use bound_rows::BoundRow;
-pub use cluster::{agglomerative_clustering, greedy_clustering, Cluster, Clustering};
+pub use cluster::{greedy_clustering, Cluster, Clustering};
 pub use columns::{ColumnArena, NodeShape};
 pub use feature::{element_features, feature_similarity, query_features, ElementFeatures};
 pub use filter_index::{FilterIndex, FilterProfile, FilterProfileData, QueryFilter, BOUND_EPS};

@@ -1,8 +1,6 @@
 //! Edit-distance measures.
 //!
 //! [`levenshtein`] is the classic insert/delete/substitute distance;
-//! [`damerau_levenshtein`] additionally allows adjacent transpositions,
-//! which matters for typo-ridden element names (`adress`, `recieve`).
 //! [`levenshtein_similarity`] normalises the distance into a `[0, 1]`
 //! similarity by dividing by the longer input's length.
 
@@ -159,43 +157,6 @@ pub(crate) fn two_row_dp<T: PartialEq>(short: &[T], long: &[T]) -> usize {
     row[short.len()]
 }
 
-/// Damerau–Levenshtein distance (optimal string alignment variant):
-/// Levenshtein plus adjacent-transposition as a unit-cost edit.
-///
-/// ```
-/// assert_eq!(smx_text::damerau_levenshtein("ab", "ba"), 1);
-/// assert_eq!(smx_text::levenshtein("ab", "ba"), 2);
-/// ```
-pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
-    let ac: Vec<char> = a.chars().collect();
-    let bc: Vec<char> = b.chars().collect();
-    let (n, m) = (ac.len(), bc.len());
-    if n == 0 {
-        return m;
-    }
-    if m == 0 {
-        return n;
-    }
-    // Three rolling rows: i-2, i-1, i.
-    let mut prev2: Vec<usize> = vec![0; m + 1];
-    let mut prev1: Vec<usize> = (0..=m).collect();
-    let mut cur: Vec<usize> = vec![0; m + 1];
-    for i in 1..=n {
-        cur[0] = i;
-        for j in 1..=m {
-            let cost = usize::from(ac[i - 1] != bc[j - 1]);
-            let mut best = (prev1[j - 1] + cost).min(prev1[j] + 1).min(cur[j - 1] + 1);
-            if i > 1 && j > 1 && ac[i - 1] == bc[j - 2] && ac[i - 2] == bc[j - 1] {
-                best = best.min(prev2[j - 2] + 1);
-            }
-            cur[j] = best;
-        }
-        std::mem::swap(&mut prev2, &mut prev1);
-        std::mem::swap(&mut prev1, &mut cur);
-    }
-    prev1[m]
-}
-
 /// Normalised Levenshtein similarity: `1 - dist / max(|a|, |b|)`.
 ///
 /// Returns `1.0` for two empty strings (they are identical).
@@ -244,21 +205,6 @@ mod tests {
         // 2 scalar substitutions, regardless of UTF-8 byte widths.
         assert_eq!(levenshtein("naïve", "naive"), 1);
         assert_eq!(levenshtein("日本語", "日本"), 1);
-    }
-
-    #[test]
-    fn damerau_counts_transposition_once() {
-        assert_eq!(damerau_levenshtein("author", "auhtor"), 1);
-        assert_eq!(damerau_levenshtein("ca", "abc"), 3);
-        assert_eq!(damerau_levenshtein("", "abc"), 3);
-        assert_eq!(damerau_levenshtein("abc", "abc"), 0);
-    }
-
-    #[test]
-    fn damerau_never_exceeds_levenshtein() {
-        for (a, b) in [("ab", "ba"), ("price", "pierce"), ("isbn", "issn")] {
-            assert!(damerau_levenshtein(a, b) <= levenshtein(a, b));
-        }
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //!
 //! Schema matchers score candidate mappings with an *objective function*
 //! that is, at its leaves, built from element-name similarity heuristics
-//! (Rahm & Bernstein's survey catalogue: edit distance, n-grams, affixes,
+//! (Rahm & Bernstein's survey catalogue: edit distance, n-grams,
 //! token sets, hybrids). This crate provides those leaves:
 //!
 //! * [`mod@levenshtein`] — edit distance and its normalised similarity,
 //! * [`mod@jaro`] — Jaro and Jaro–Winkler similarity,
-//! * [`ngram`] — character n-gram profiles and set similarities,
-//! * [`affix`] — common-prefix/suffix similarity,
-//! * [`token`] — tokeniser-aware set measures (Jaccard, Dice, overlap,
+//! * [`ngram`] — character n-gram profiles and their Dice similarity,
+//! * [`token`] — tokeniser-aware measures (token-set Dice and the
 //!   Monge–Elkan hybrid),
 //! * [`normalize`] — identifier tokenisation (camelCase, snake_case, digits)
 //!   and normalisation,
@@ -23,16 +22,13 @@
 //! * [`dispatch`] — runtime selection of the kernel's vectorised inner
 //!   loops ([`KernelVariant`]: scalar oracle, SWAR-on-`u64`, or
 //!   `std::arch` SSE2/NEON behind feature detection; `SMX_KERNEL_FORCE`
-//!   overrides),
-//! * [`cache`] — a concurrent memo table so repeated pairs are scored once.
+//!   overrides).
 //!
 //! Every similarity function returns a score in `[0, 1]`, is symmetric in
 //! its arguments, and returns exactly `1.0` for equal inputs — invariants
 //! enforced by the property tests in `tests/properties.rs`.
 
-pub mod affix;
 mod arch;
-pub mod cache;
 pub mod combined;
 pub mod dispatch;
 pub mod jaro;
@@ -43,16 +39,14 @@ pub mod normalize;
 mod swar;
 pub mod token;
 
-pub use affix::{common_prefix_len, common_suffix_len, prefix_similarity, suffix_similarity};
-pub use cache::SimilarityCache;
 pub use combined::{default_name_mix, NameSimilarity, SimilarityMeasure, WeightedSimilarity};
 pub use dispatch::KernelVariant;
 pub use jaro::{jaro, jaro_winkler};
 pub use kernel::{LabelProfile, RowKernel};
-pub use levenshtein::{damerau_levenshtein, levenshtein, levenshtein_similarity};
-pub use ngram::{dice_ngram, jaccard_ngram, ngram_profile, trigram_similarity, GramProfile};
+pub use levenshtein::{levenshtein, levenshtein_similarity};
+pub use ngram::{dice_ngram, ngram_profile, trigram_similarity, GramProfile};
 pub use normalize::{normalize_identifier, split_identifier, Token};
-pub use token::{dice_tokens, jaccard_tokens, monge_elkan, overlap_tokens, token_set_similarity};
+pub use token::{dice_tokens, monge_elkan, token_set_similarity};
 
 /// Clamp a floating-point score into `[0, 1]`, mapping NaN to `0`.
 ///

@@ -1,8 +1,8 @@
 //! Character n-gram similarity.
 //!
 //! Strings are padded with `#` sentinels so that affixes contribute their
-//! own grams (the COMA convention); profiles are multisets, and Jaccard /
-//! Dice are computed over multiset intersections.
+//! own grams (the COMA convention); profiles are multisets, and Dice is
+//! computed over multiset intersections.
 //!
 //! The similarity functions run on [`GramProfile`] — a flat, sorted
 //! `Vec<(u64, u32)>` of gram keys and counts — intersected by a linear
@@ -24,10 +24,9 @@ const PAD: char = '#';
 /// side. Keys are gram strings, values are occurrence counts.
 ///
 /// This is the *reference* profile representation: the similarity
-/// functions ([`jaccard_ngram`], [`dice_ngram`]) use the flat
-/// [`GramProfile`] instead, and the property tests assert both paths
-/// agree. For `n == 0` the profile is empty; for an empty string it is
-/// empty too.
+/// function [`dice_ngram`] uses the flat [`GramProfile`] instead, and
+/// the property tests assert both paths agree. For `n == 0` the profile
+/// is empty; for an empty string it is empty too.
 ///
 /// ```
 /// let p = smx_text::ngram_profile("ab", 2);
@@ -277,26 +276,6 @@ fn multiset_sizes(a: &GramProfile, b: &GramProfile) -> (u64, u64, u64) {
     (a.intersection(b), a.total, b.total)
 }
 
-/// Multiset Jaccard similarity of the `n`-gram profiles of `a` and `b`.
-pub fn jaccard_ngram(a: &str, b: &str, n: usize) -> f64 {
-    if a == b {
-        return 1.0;
-    }
-    jaccard_profiles(&GramProfile::new(a, n), &GramProfile::new(b, n))
-}
-
-/// Jaccard over prebuilt profiles. Callers must handle the `a == b` fast
-/// path themselves (equal strings short-circuit to `1.0` in
-/// [`jaccard_ngram`] *before* profiles are consulted).
-pub(crate) fn jaccard_profiles(pa: &GramProfile, pb: &GramProfile) -> f64 {
-    let (inter, sa, sb) = multiset_sizes(pa, pb);
-    let union = sa + sb - inter;
-    if union == 0 {
-        return 1.0;
-    }
-    clamp01(inter as f64 / union as f64)
-}
-
 /// Multiset Dice coefficient of the `n`-gram profiles of `a` and `b`:
 /// `2·|A ∩ B| / (|A| + |B|)`.
 pub fn dice_ngram(a: &str, b: &str, n: usize) -> f64 {
@@ -306,8 +285,9 @@ pub fn dice_ngram(a: &str, b: &str, n: usize) -> f64 {
     dice_profiles(&GramProfile::new(a, n), &GramProfile::new(b, n))
 }
 
-/// Dice over prebuilt profiles (same fast-path contract as
-/// [`jaccard_profiles`]).
+/// Dice over prebuilt profiles. Callers must handle the `a == b` fast
+/// path themselves (equal strings short-circuit to `1.0` in
+/// [`dice_ngram`] *before* profiles are consulted).
 pub(crate) fn dice_profiles(pa: &GramProfile, pb: &GramProfile) -> f64 {
     let (inter, sa, sb) = multiset_sizes(pa, pb);
     if sa + sb == 0 {
@@ -355,19 +335,6 @@ pub mod reference {
         let size_a: u64 = a.values().map(|&c| u64::from(c)).sum();
         let size_b: u64 = b.values().map(|&c| u64::from(c)).sum();
         (inter, size_a, size_b)
-    }
-
-    /// Reference [`super::jaccard_ngram`].
-    pub fn jaccard_ngram(a: &str, b: &str, n: usize) -> f64 {
-        if a == b {
-            return 1.0;
-        }
-        let (inter, sa, sb) = multiset_sizes(&ngram_profile(a, n), &ngram_profile(b, n));
-        let union = sa + sb - inter;
-        if union == 0 {
-            return 1.0;
-        }
-        clamp01(inter as f64 / union as f64)
     }
 
     /// Reference [`super::dice_ngram`].
@@ -446,11 +413,6 @@ mod tests {
         for n in 1..=4 {
             for (a, b) in pairs {
                 assert_eq!(
-                    jaccard_ngram(a, b, n).to_bits(),
-                    reference::jaccard_ngram(a, b, n).to_bits(),
-                    "jaccard {a:?} {b:?} n={n}"
-                );
-                assert_eq!(
                     dice_ngram(a, b, n).to_bits(),
                     reference::dice_ngram(a, b, n).to_bits(),
                     "dice {a:?} {b:?} n={n}"
@@ -460,22 +422,15 @@ mod tests {
     }
 
     #[test]
-    fn jaccard_and_dice_basics() {
-        assert_eq!(jaccard_ngram("", "", 3), 1.0);
+    fn dice_basics() {
         assert_eq!(dice_ngram("", "", 3), 1.0);
-        assert_eq!(jaccard_ngram("abc", "abc", 3), 1.0);
-        assert_eq!(jaccard_ngram("abc", "xyz", 3), 0.0);
-        let j = jaccard_ngram("night", "nacht", 2);
         let d = dice_ngram("night", "nacht", 2);
-        assert!(j > 0.0 && j < 1.0);
-        // Dice ≥ Jaccard always.
-        assert!(d >= j);
+        assert!(d > 0.0 && d < 1.0);
     }
 
     #[test]
     fn symmetric() {
         for (a, b) in [("orders", "order"), ("isbn", "issn"), ("", "q")] {
-            assert!((jaccard_ngram(a, b, 3) - jaccard_ngram(b, a, 3)).abs() < 1e-12);
             assert!((dice_ngram(a, b, 3) - dice_ngram(b, a, 3)).abs() < 1e-12);
         }
     }

@@ -1,9 +1,9 @@
 //! Token-set similarity over identifier tokens.
 //!
 //! These measures first split both names with
-//! [`split_identifier`] and then compare the token
-//! sets: exact set measures (Jaccard, Dice, overlap) and the Monge–Elkan
-//! hybrid that scores each token against its best fuzzy counterpart.
+//! [`split_identifier`] and then compare the tokens: the exact Dice
+//! coefficient of the token sets, and the Monge–Elkan hybrid that scores
+//! each token against its best fuzzy counterpart.
 
 use crate::clamp01;
 use crate::jaro::jaro_winkler;
@@ -17,21 +17,6 @@ fn token_sets(a: &str, b: &str) -> (BTreeSet<Token>, BTreeSet<Token>) {
     )
 }
 
-/// Jaccard similarity of the two names' token sets.
-///
-/// ```
-/// assert_eq!(smx_text::jaccard_tokens("order_line", "lineOrder"), 1.0);
-/// ```
-pub fn jaccard_tokens(a: &str, b: &str) -> f64 {
-    let (sa, sb) = token_sets(a, b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
-    clamp01(inter as f64 / union as f64)
-}
-
 /// Dice coefficient of the two names' token sets.
 pub fn dice_tokens(a: &str, b: &str) -> f64 {
     let (sa, sb) = token_sets(a, b);
@@ -40,21 +25,6 @@ pub fn dice_tokens(a: &str, b: &str) -> f64 {
     }
     let inter = sa.intersection(&sb).count();
     clamp01(2.0 * inter as f64 / (sa.len() + sb.len()) as f64)
-}
-
-/// Overlap coefficient: intersection over the smaller set. `1.0` whenever
-/// one token set contains the other (`zip` ⊆ `zipCode`).
-pub fn overlap_tokens(a: &str, b: &str) -> f64 {
-    let (sa, sb) = token_sets(a, b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let min = sa.len().min(sb.len());
-    if min == 0 {
-        return 0.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    clamp01(inter as f64 / min as f64)
 }
 
 /// Monge–Elkan hybrid similarity with Jaro–Winkler as the inner measure,
@@ -99,26 +69,14 @@ mod tests {
 
     #[test]
     fn exact_set_measures() {
-        assert_eq!(jaccard_tokens("a_b", "b_a"), 1.0);
         assert_eq!(dice_tokens("a_b", "b_a"), 1.0);
-        assert!((jaccard_tokens("order_line", "order_item") - 1.0 / 3.0).abs() < 1e-12);
         assert!((dice_tokens("order_line", "order_item") - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn overlap_rewards_containment() {
-        assert_eq!(overlap_tokens("zip", "zip_code"), 1.0);
-        assert!(jaccard_tokens("zip", "zip_code") < 1.0);
-    }
-
-    #[test]
     fn empty_inputs() {
-        assert_eq!(jaccard_tokens("", ""), 1.0);
         assert_eq!(dice_tokens("", ""), 1.0);
-        assert_eq!(overlap_tokens("", ""), 1.0);
         assert_eq!(monge_elkan("", ""), 1.0);
-        assert_eq!(jaccard_tokens("", "x"), 0.0);
-        assert_eq!(overlap_tokens("", "x"), 0.0);
         assert_eq!(monge_elkan("", "x"), 0.0);
     }
 
@@ -134,9 +92,7 @@ mod tests {
     #[test]
     fn all_symmetric() {
         for (a, b) in [("orderLine", "lineItem"), ("isbn", "issn13"), ("a", "")] {
-            assert!((jaccard_tokens(a, b) - jaccard_tokens(b, a)).abs() < 1e-12);
             assert!((dice_tokens(a, b) - dice_tokens(b, a)).abs() < 1e-12);
-            assert!((overlap_tokens(a, b) - overlap_tokens(b, a)).abs() < 1e-12);
             assert!((monge_elkan(a, b) - monge_elkan(b, a)).abs() < 1e-12);
         }
     }

@@ -14,7 +14,7 @@
 //! * [`builder`] — fluent construction of schemas,
 //! * [`parse`] / [`serialize`] — a compact XML text format with a
 //!   hand-rolled parser, so repositories can be persisted and inspected,
-//! * [`visit`] — pre/post-order traversal and search helpers,
+//! * [`visit`] — pre-order traversal,
 //! * [`stats`] — structural statistics (size, depth, fan-out).
 //!
 //! Invariants maintained by [`Schema`]: exactly one root; every non-root
@@ -40,4 +40,4 @@ pub use path::Path;
 pub use schema::Schema;
 pub use serialize::schema_to_string;
 pub use stats::SchemaStats;
-pub use visit::{postorder, preorder};
+pub use visit::preorder;

@@ -22,29 +22,6 @@ pub fn preorder(schema: &Schema) -> Vec<NodeId> {
     out
 }
 
-/// Node ids in post-order (children before parent).
-pub fn postorder(schema: &Schema) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(schema.len());
-    let Some(root) = schema.root() else {
-        return out;
-    };
-    fn rec(schema: &Schema, id: NodeId, out: &mut Vec<NodeId>) {
-        for &c in &schema.node(id).children {
-            rec(schema, c, out);
-        }
-        out.push(id);
-    }
-    rec(schema, root, &mut out);
-    out
-}
-
-/// Ids of all nodes whose name equals `name`.
-pub fn find_by_name<'a>(schema: &'a Schema, name: &'a str) -> impl Iterator<Item = NodeId> + 'a {
-    schema
-        .node_ids()
-        .filter(move |&id| schema.node(id).name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,37 +50,17 @@ mod tests {
     }
 
     #[test]
-    fn postorder_children_first() {
-        let s = sample();
-        assert_eq!(
-            names(&s, &postorder(&s)),
-            vec!["x", "y", "a", "x", "b", "r"]
-        );
-    }
-
-    #[test]
     fn traversals_cover_all_nodes_once() {
         let s = sample();
-        for order in [preorder(&s), postorder(&s)] {
-            let mut sorted: Vec<_> = order.clone();
-            sorted.sort();
-            sorted.dedup();
-            assert_eq!(sorted.len(), s.len());
-        }
+        let mut sorted = preorder(&s);
+        sorted.sort();
+        sorted.dedup();
+        assert_eq!(sorted.len(), s.len());
     }
 
     #[test]
     fn empty_schema_traversals() {
         let s = Schema::new("e");
         assert!(preorder(&s).is_empty());
-        assert!(postorder(&s).is_empty());
-    }
-
-    #[test]
-    fn find_by_name_finds_duplicates() {
-        let s = sample();
-        assert_eq!(find_by_name(&s, "x").count(), 2);
-        assert_eq!(find_by_name(&s, "r").count(), 1);
-        assert_eq!(find_by_name(&s, "zz").count(), 0);
     }
 }

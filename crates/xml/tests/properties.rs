@@ -107,19 +107,6 @@ proptest! {
     }
 
     #[test]
-    fn postorder_children_precede_parents(spec in tree_spec(40)) {
-        let schema = build_schema(&spec);
-        let order = postorder(&schema);
-        let pos: std::collections::HashMap<NodeId, usize> =
-            order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        for id in schema.node_ids() {
-            if let Some(p) = schema.node(id).parent {
-                prop_assert!(pos[&p] > pos[&id]);
-            }
-        }
-    }
-
-    #[test]
     fn paths_resolve_consistently(spec in tree_spec(30)) {
         let schema = build_schema(&spec);
         for id in schema.node_ids() {
