@@ -26,18 +26,15 @@
 //! pruning, auto budget) on identical cold problems — the headline
 //! `relative.candidate_over_exhaustive_1024` ratio comes from it — and
 //! times candidate generation alone at 1024 schemas with a cold and a
-//! warm bound-row memo (`relative.generate_cold_over_warm_1024`). The
-//! `pipeline` group races the composed candidate→beam→exhaustive
-//! [`Pipeline`] against the monolithic exhaustive matcher on the same
-//! cold 1024-schema repository; the within-run ratio is guarded as
-//! `relative.pipeline_over_exhaustive_1024`. `SMX_BENCH_XL=1` extends
-//! `s1_vs_repository_size` to 10³–10⁵ mixed-domain schemas.
+//! warm bound-row memo (`relative.generate_cold_over_warm_1024`).
+//! `SMX_BENCH_XL=1` extends `s1_vs_repository_size` to 10³–10⁵
+//! mixed-domain schemas.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smx::matching::{
     BatchMatcher, BatchProblem, BeamMatcher, CandidateConfig, CandidateGenerator, CertifiedMatcher,
     ClusterMatcher, ExhaustiveMatcher, MappingRegistry, MatchProblem, Matcher, ObjectiveFunction,
-    Pipeline, TopKMatcher,
+    TopKMatcher,
 };
 use smx::persist::{RecoveryPolicy, Snapshot};
 use smx::repo::Repository;
@@ -615,109 +612,6 @@ fn bench_candidate_tier(c: &mut Criterion) {
     }
 }
 
-fn bench_pipeline(c: &mut Criterion) {
-    // The composed filter→refine pipeline (candidate filter → beam
-    // filter → exhaustive-on-survivors) racing the monolithic
-    // exhaustive matcher on identical cold 1024-schema mixed-domain
-    // problems. Both sides run at Δ = 0.2: at that threshold the beam
-    // stage answers every surviving schema, so the composed
-    // certificate charges nothing and stays at recall 1.0 — the race
-    // measures what declarative composition *costs*, not what pruning
-    // buys (the candidate tier group measures that). At a tighter Δ
-    // the beam drops schemas it cannot answer and their caps — loose
-    // per-schema answer-count bounds — collapse the certificate,
-    // which is exactly the behaviour the certified-matrix suite pins
-    // down. The within-run composed/exhaustive ratio is guarded as
-    // `relative.pipeline_over_exhaustive_1024`; admissibility
-    // (certified ≤ measured recall vs the oracle) and the ≥ 0.95
-    // recall floor are asserted outside the timed loops, and the
-    // recall is recorded as a `value` line so BENCH_matching.json
-    // documents what the composed speedup was bought at.
-    let delta_max = 0.2;
-    let total = 1024usize;
-    let pipeline = Pipeline::builder(ObjectiveFunction::default())
-        .candidate_filter()
-        .beam_filter(4)
-        .refine(ExhaustiveMatcher::default());
-    let (personal, repo) = mixed_repository(total);
-    let store_owner =
-        MatchProblem::new(personal.clone(), repo.clone()).expect("non-empty personal schema");
-    let store = store_owner.repository().store();
-    let mut group = c.benchmark_group("pipeline");
-    group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("exhaustive_{total}")),
-        &total,
-        |b, _| {
-            b.iter(|| {
-                store.clear_rows();
-                let p = MatchProblem::new(personal.clone(), repo.clone()).unwrap();
-                let registry = MappingRegistry::new();
-                black_box(ExhaustiveMatcher::default().run(&p, delta_max, &registry)).len()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("composed_{total}")),
-        &total,
-        |b, _| {
-            b.iter(|| {
-                store.clear_rows();
-                let p = MatchProblem::new(personal.clone(), repo.clone()).unwrap();
-                let registry = MappingRegistry::new();
-                black_box(pipeline.run_certified(&p, delta_max, &registry))
-                    .answers
-                    .len()
-            })
-        },
-    );
-    group.finish();
-    let registry = MappingRegistry::new();
-    let oracle = ExhaustiveMatcher::default().run(&store_owner, delta_max, &registry);
-    let run = pipeline.run_certified(&store_owner, delta_max, &registry);
-    run.answers
-        .is_subset_of(&oracle)
-        .expect("pipeline answers are a subset of the oracle's");
-    let cert = run.certificate.certified_recall();
-    let measured = if oracle.is_empty() {
-        1.0
-    } else {
-        let kept = run
-            .answers
-            .ids()
-            .filter(|&id| oracle.score_of(id).is_some())
-            .count();
-        kept as f64 / oracle.len() as f64
-    };
-    assert!(
-        cert <= measured + 1e-12,
-        "pipeline certificate {cert} exceeds measured recall {measured}"
-    );
-    assert!(
-        cert >= 0.95,
-        "pipeline certified recall {cert} below the 0.95 headline floor"
-    );
-    if let Ok(path) = std::env::var("SMX_BENCH_JSON") {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("SMX_BENCH_JSON path is writable");
-        writeln!(
-            f,
-            "{{\"bench\":\"pipeline/certified_recall_{total}\",\"value\":{cert}}}"
-        )
-        .unwrap();
-        writeln!(
-            f,
-            "{{\"bench\":\"pipeline/stages_{total}\",\"value\":{}}}",
-            run.certificate.stages().len()
-        )
-        .unwrap();
-    }
-}
-
 fn bench_trace_overhead(c: &mut Criterion) {
     // The near-zero-cost-when-disabled claim, measured: `baseline`
     // drives the byte-for-byte pre-instrumentation sweep path
@@ -815,7 +709,6 @@ criterion_group!(
     bench_row_kernel,
     bench_repository_scaling,
     bench_candidate_tier,
-    bench_pipeline,
     bench_trace_overhead
 );
 criterion_main!(benches);

@@ -9,8 +9,9 @@ use smx::pipeline::Experiment;
 use smx::synth::ScenarioConfig;
 
 /// The default scenario every figure binary uses unless stated otherwise:
-/// a 5-element personal schema against 30 repository schemas (18 with a
-/// grafted perturbed copy, 12 pure noise), δ_max = 0.45, seed 42.
+/// a 5-element personal schema against 42 repository schemas (30 with a
+/// grafted perturbed copy, 12 pure noise), seed 42. [`standard_experiment`]
+/// searches it up to [`STANDARD_DELTA_MAX`].
 pub fn standard_config() -> ScenarioConfig {
     ScenarioConfig {
         derived_schemas: 30,

@@ -19,9 +19,7 @@
 //! * [`interpolate`] — 11-point interpolated P/R curves (Figure 6),
 //! * [`topn`] — precision/recall at a result-list cut,
 //! * [`pooling`] — TREC-style pooling and Zobel's shallow-pool estimate,
-//!   the related-work validation techniques the bounds are compared against,
-//! * [`tradeoff`] — per-stage factor breakdowns for composed pipeline
-//!   certificates.
+//!   the related-work validation techniques the bounds are compared against.
 
 pub mod answer;
 pub mod curve;
@@ -30,7 +28,6 @@ pub mod interpolate;
 pub mod metrics;
 pub mod pooling;
 pub mod topn;
-pub mod tradeoff;
 pub mod truth;
 
 pub use answer::{AnswerId, AnswerSet, ScoredAnswer};
@@ -40,5 +37,4 @@ pub use interpolate::{InterpolatedCurve, STANDARD_RECALL_LEVELS};
 pub use metrics::{f1_score, precision, recall, Counts};
 pub use pooling::{pool_depth_k, shallow_pool_estimate, PooledTruth};
 pub use topn::{precision_at, recall_at, TopNReport};
-pub use tradeoff::{FactorBreakdown, StageFactor, StageInput};
 pub use truth::GroundTruth;

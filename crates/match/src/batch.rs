@@ -17,8 +17,8 @@
 //!   pass per repository label column), optionally chunked across
 //!   scoped worker threads, instead of one pass per query label.
 //! * [`BatchMatcher`] — dispatches every problem in the batch to any
-//!   inner [`Matcher`] (exhaustive, parallel, beam, cluster, top-k,
-//!   brute-force), sequentially or across `std::thread::scope` workers.
+//!   inner [`Matcher`] (exhaustive, beam, cluster, top-k, brute-force),
+//!   sequentially or across `std::thread::scope` workers.
 //!
 //! # Identity contract
 //!

@@ -17,11 +17,11 @@ use smx_xml::NodeId;
 
 /// Beam-search matcher with a fixed beam width per schema.
 ///
-/// To use the beam as an *intermediate* pipeline filter instead of a
-/// refine stage — keep only schemas where the beam finds an answer,
-/// then refine those exhaustively — compose a
-/// [`BeamFilter`](crate::pipeline::BeamFilter) stage, which charges the
-/// certificate for the schemas it drops.
+/// As the inner matcher of a
+/// [`CertifiedMatcher`](crate::CertifiedMatcher), the beam searches
+/// each surviving schema on its own, so the certified run returns the
+/// unrestricted beam's answers in those schemas; the certificate
+/// covers the candidate tier's pruning, not the beam's own losses.
 #[derive(Debug, Clone)]
 pub struct BeamMatcher {
     objective: ObjectiveFunction,

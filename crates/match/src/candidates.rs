@@ -41,11 +41,6 @@
 //! certified-empty schemas are pruned, the cap sum is zero, and the
 //! certificate collapses to recall 1 at full speedup.
 //!
-//! The same machinery backs the [`pipeline`](crate::pipeline) stages:
-//! `BoundsTable` computes every schema's certification facts once at
-//! full precision, so any composition of filter stages prunes and caps
-//! against one shared, deterministic table.
-//!
 //! Per-request work is proportional to what the walk touches, not to
 //! the repository: only touched schemas get phase-1 lanes and phase-2
 //! checks (when the all-clamp total certifies untouched ones, the usual
@@ -110,8 +105,7 @@ fn to_lb(objective: &ObjectiveFunction, ub: f64) -> f64 {
 /// sits at the clamp.
 const UNTOUCHED: u32 = u32::MAX;
 
-/// The shared two-phase inverted sweep behind both
-/// [`CandidateGenerator::generate`] and `BoundsTable::compute`.
+/// The two-phase inverted sweep behind [`CandidateGenerator::generate`].
 ///
 /// Each lane — one per distinct personal label — reads its similarity
 /// bounds from the store's memoised bound row
@@ -527,114 +521,6 @@ impl CandidateGenerator {
             delta_max,
         }
     }
-
-    /// Lift this generator into declarative [`pipeline`](crate::pipeline)
-    /// filter stages: auto becomes a single certified-empty prune
-    /// ([`crate::pipeline::CandidateFilter`]), an explicit budget adds
-    /// the survivor truncation ([`crate::pipeline::Truncate`]) that
-    /// charges the dropped schemas' caps.
-    ///
-    /// The stages prune against the pipeline's shared full-precision
-    /// `BoundsTable`, so a lifted auto generator may certify *more*
-    /// schemas empty than [`CandidateGenerator::generate`]'s lazily
-    /// refined sweep — answers are unchanged either way (only provably
-    /// empty schemas are cut), but active-set sizes and budget-mode
-    /// survivor rankings can differ from the monolithic tier's.
-    pub fn into_stages(self) -> Vec<Arc<dyn crate::pipeline::Stage>> {
-        let mut stages: Vec<Arc<dyn crate::pipeline::Stage>> =
-            vec![Arc::new(crate::pipeline::CandidateFilter)];
-        if let Some(b) = self.config.budget {
-            stages.push(Arc::new(crate::pipeline::Truncate::new(b)));
-        }
-        stages
-    }
-}
-
-/// Per-schema certification facts, computed once per pipeline run and
-/// shared by every bound-based stage: whether the schema is certified
-/// empty at the threshold, its mapping-cost lower bound (the ranking
-/// key survivor truncation uses), and its admissible answer cap (what
-/// pruning it costs a certificate).
-///
-/// Unlike [`CandidateGenerator::generate`]'s auto mode, the table
-/// always promotes surviving schemas' lanes to full precision — stage
-/// composition stays deterministic because every stage reads the
-/// *same* table regardless of where it sits in the pipeline.
-#[derive(Debug, Clone)]
-pub(crate) struct BoundsTable {
-    entries: Vec<BoundsEntry>,
-}
-
-/// One schema's row in a [`BoundsTable`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BoundsEntry {
-    /// Proven to contain no answer at the threshold (includes schemas
-    /// too small for an injective assignment).
-    pub cert_empty: bool,
-    /// Lower bound on any mapping's un-normalised cost in this schema;
-    /// `+∞` for schemas too small to host a mapping at all.
-    pub total_lb: f64,
-    /// Admissible cap on the schema's answer count if pruned; `0.0`
-    /// exactly when `cert_empty`.
-    pub cap: f64,
-}
-
-impl BoundsTable {
-    /// Compute the table for `problem` at `delta_max`.
-    pub(crate) fn compute(
-        objective: &ObjectiveFunction,
-        problem: &MatchProblem,
-        delta_max: f64,
-    ) -> BoundsTable {
-        let mut span = smx_obs::span("candidates.bounds_table");
-        let repo = problem.repository();
-        let store = repo.store();
-        let k = problem.personal_size();
-        let mut sweep = LaneSweep::run(objective, problem, delta_max);
-        let budget = sweep.budget;
-        let survivors = sweep.coarse_survivors(problem);
-        let mut entries: Vec<BoundsEntry> = repo
-            .iter()
-            .map(|(sid, schema)| BoundsEntry {
-                cert_empty: true,
-                total_lb: if schema.len() < k {
-                    f64::INFINITY
-                } else {
-                    sweep.coarse(sid)
-                },
-                cap: 0.0,
-            })
-            .collect();
-        for sid in survivors {
-            let labels = store.schema_labels(sid);
-            let total_lb = sweep.fill_minima(labels, true);
-            let cap = if total_lb > budget {
-                0.0
-            } else {
-                sweep.cap(labels, total_lb)
-            };
-            entries[sid.index()] = BoundsEntry {
-                cert_empty: cap == 0.0,
-                total_lb,
-                cap,
-            };
-        }
-        if span.is_active() {
-            span.attr("schemas", entries.len());
-            span.attr(
-                "cert_empty",
-                entries.iter().filter(|e| e.cert_empty).count(),
-            );
-            span.attr("bounds_refined", sweep.refined_count);
-            span.attr("memo_hits", sweep.memo_hits);
-        }
-        BoundsTable { entries }
-    }
-
-    /// The entry for `sid`.
-    pub(crate) fn entry(&self, sid: SchemaId) -> BoundsEntry {
-        self.entries[sid.index()]
-    }
 }
 
 /// `(pruned, scored)` cost-pair counts for the active schemas — work
@@ -700,73 +586,6 @@ pub struct CandidateSet {
 }
 
 impl CandidateSet {
-    /// The unrestricted candidate set a [`pipeline`](crate::pipeline)
-    /// run starts from: every schema the problem may score is active
-    /// (respecting any restriction the problem already carries), no
-    /// caps, nothing certified — the identity element stages narrow.
-    pub fn full(problem: &MatchProblem, delta_max: f64) -> CandidateSet {
-        let repo = problem.repository();
-        let ids = problem.active_schema_ids();
-        let mut mask = vec![false; repo.len()];
-        for sid in &ids {
-            mask[sid.index()] = true;
-        }
-        let (pruned_pairs, scored_pairs) = pair_counts(problem, &ids);
-        CandidateSet {
-            active: Arc::new(ActiveSet { ids, mask }),
-            total_schemas: repo.len(),
-            cert_empty: 0,
-            caps_sum: 0.0,
-            pruned_pairs,
-            scored_pairs,
-            delta_max,
-        }
-    }
-
-    /// A narrowed copy keeping only `kept`, with the narrowing's
-    /// bookkeeping folded into the cumulative certificate state:
-    /// `cert_empty_added` schemas proven empty at the threshold and
-    /// `caps_added` admissible answer cap charged for everything else
-    /// the narrowing dropped. This is the constructor pipeline stages
-    /// use internally; it is public so external filters and restricted
-    /// examples can build custom narrowings with honest certificates.
-    ///
-    /// # Panics
-    ///
-    /// If `kept` is not a subset of the current active set — a
-    /// narrowing may only drop schemas, never resurrect one a prior
-    /// stage already pruned (that would silently invalidate the caps
-    /// charged for it).
-    pub fn narrow(
-        &self,
-        problem: &MatchProblem,
-        kept: Vec<SchemaId>,
-        cert_empty_added: usize,
-        caps_added: f64,
-    ) -> CandidateSet {
-        for sid in &kept {
-            assert!(
-                self.active.contains(*sid),
-                "narrow: schema {:?} is not in the active set being narrowed",
-                sid
-            );
-        }
-        let mut mask = vec![false; self.total_schemas];
-        for sid in &kept {
-            mask[sid.index()] = true;
-        }
-        let (pruned_pairs, scored_pairs) = pair_counts(problem, &kept);
-        CandidateSet {
-            active: Arc::new(ActiveSet { ids: kept, mask }),
-            total_schemas: self.total_schemas,
-            cert_empty: self.cert_empty + cert_empty_added,
-            caps_sum: self.caps_sum + caps_added,
-            pruned_pairs,
-            scored_pairs,
-            delta_max: self.delta_max,
-        }
-    }
-
     /// The active subset (shared with restricted problems).
     pub fn active(&self) -> &Arc<ActiveSet> {
         &self.active
@@ -935,33 +754,6 @@ mod tests {
         assert!(set.active().contains(SchemaId(1)));
         assert!(!set.active().contains(SchemaId(0)));
         assert_eq!(set.pruned_pairs(), 3); // k × 1 node
-    }
-
-    #[test]
-    fn bounds_table_agrees_with_budget_mode_generation() {
-        let problem = scenario_problem();
-        let objective = ObjectiveFunction::default();
-        let table = BoundsTable::compute(&objective, &problem, 0.3);
-        // Budget mode promotes every surviving schema to full
-        // precision, exactly as the table does — the survivor set and
-        // caps must coincide.
-        let all = CandidateGenerator::new(
-            objective,
-            CandidateConfig {
-                budget: Some(problem.repository().len()),
-            },
-        )
-        .generate(&problem, 0.3);
-        let mut survivors = 0usize;
-        for (sid, _) in problem.repository().iter() {
-            let entry = table.entry(sid);
-            assert_eq!(entry.cap == 0.0, entry.cert_empty);
-            if !entry.cert_empty {
-                survivors += 1;
-                assert!(all.active().contains(sid), "table survivor {sid} pruned");
-            }
-        }
-        assert_eq!(survivors, all.active_count());
     }
 
     #[test]

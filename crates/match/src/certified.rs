@@ -209,28 +209,6 @@ impl<M: Matcher> CertifiedMatcher<M> {
     }
 }
 
-impl<M: Matcher + Send + Sync + std::fmt::Debug + 'static> CertifiedMatcher<M> {
-    /// Re-express this monolithic filter→refine pair as a declarative
-    /// [`Pipeline`](crate::pipeline::Pipeline): the generator becomes
-    /// its filter stages (certified-empty prune, plus survivor
-    /// truncation under an explicit budget) and the inner matcher the
-    /// terminal refine stage.
-    ///
-    /// Answer-equivalent, not bookkeeping-identical: pipeline stages
-    /// prune against the shared full-precision bounds table, so active
-    /// sets and budget-mode survivor rankings can differ from
-    /// [`CandidateGenerator::generate`]'s lazily refined sweep (see
-    /// [`CandidateGenerator::into_stages`]).
-    pub fn into_pipeline(self) -> crate::pipeline::Pipeline {
-        let objective = self.generator.objective().clone();
-        let mut builder = crate::pipeline::Pipeline::builder(objective);
-        for stage in self.generator.into_stages() {
-            builder = builder.stage_arc(stage);
-        }
-        builder.refine(self.inner)
-    }
-}
-
 impl<M: Matcher> Matcher for CertifiedMatcher<M> {
     fn name(&self) -> &str {
         &self.name

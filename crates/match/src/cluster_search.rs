@@ -19,10 +19,10 @@ use smx_xml::NodeId;
 
 /// Cluster-restricted matcher.
 ///
-/// As a pipeline refine stage
-/// ([`RefineStage::new`](crate::pipeline::RefineStage::new)), cluster
-/// ranking stays global (it reads the whole repository); the upstream
-/// filters only decide which fragments may answer.
+/// As the inner matcher of a
+/// [`CertifiedMatcher`](crate::CertifiedMatcher), cluster ranking stays
+/// global (it reads the whole repository); the candidate tier only
+/// decides which fragments may answer.
 #[derive(Debug, Clone)]
 pub struct ClusterMatcher {
     objective: ObjectiveFunction,

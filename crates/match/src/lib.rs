@@ -41,47 +41,25 @@
 //!   loss-free and the restricted answers are **bitwise identical** to
 //!   the unrestricted run (`tests/candidate_differential.rs`).
 //!
-//! # Pipelines
-//!
-//! [`pipeline`] generalises the certified tier into *composable*
-//! matching processes: a [`Pipeline`] chains filter stages (candidate
-//! certification, survivor truncation, beam-as-filter) in front of any
-//! terminal matcher, accumulates every stage's certificate charges,
-//! and — because it implements [`Matcher`] itself — drops into
-//! [`BatchMatcher`], [`CertifiedMatcher`], persistence and the benches
-//! unchanged:
-//!
 //! ```
-//! use smx_match::{ExhaustiveMatcher, MappingRegistry, MatchProblem,
-//!                 ObjectiveFunction, Pipeline};
+//! use smx_match::{CandidateConfig, CandidateGenerator, CertifiedMatcher,
+//!                 ExhaustiveMatcher, MappingRegistry, MatchProblem,
+//!                 ObjectiveFunction};
 //! use smx_synth::{Scenario, ScenarioConfig};
 //!
 //! let sc = Scenario::generate(ScenarioConfig::default());
 //! let problem = MatchProblem::new(sc.personal, sc.repository).unwrap();
 //!
-//! // candidates → keep the 8 most promising → beam-filter → exhaustive.
-//! let pipe = Pipeline::builder(ObjectiveFunction::default())
-//!     .candidate_filter()
-//!     .truncate(8)
-//!     .beam_filter(16)
-//!     .refine(ExhaustiveMatcher::default());
-//!
-//! let registry = MappingRegistry::new();
-//! let run = pipe.run_certified(&problem, 0.3, &registry);
-//! // The composed certificate multiplies per-stage factors …
-//! let cert = &run.certificate;
-//! assert!(cert.factor_breakdown().reproduces(cert.certified_recall(), 1e-9));
-//! // … and lower-bounds recall against the exhaustive oracle.
-//! assert!(cert.certified_recall() <= 1.0);
+//! // Score the 8 most promising schemas exactly and cap the rest.
+//! let generator = CandidateGenerator::new(
+//!     ObjectiveFunction::default(),
+//!     CandidateConfig { budget: Some(8) },
+//! );
+//! let matcher = CertifiedMatcher::new(ExhaustiveMatcher::default(), generator);
+//! let run = matcher.run_certified(&problem, 0.3, &MappingRegistry::new());
+//! assert_eq!(run.certificate.answer_count(), run.answers.len());
+//! assert!(run.certificate.certified_recall() <= 1.0);
 //! ```
-//!
-//! Stage pruning decisions all read one shared, full-precision bounds
-//! table computed per run — see the [`pipeline`] module docs. The
-//! pipeline differential suites (`tests/pipeline_differential.rs`,
-//! `tests/pipeline_algebra.rs`) hold pipelines to bitwise answer
-//! identity with their monolithic counterparts and composed
-//! certificates to admissibility across random stage compositions and
-//! budgets.
 //!
 //! # The scoring engine
 //!
@@ -129,7 +107,6 @@ pub mod exhaustive;
 pub mod mapping;
 pub mod matcher;
 pub mod objective;
-pub mod pipeline;
 pub mod problem;
 pub mod space;
 pub mod test_support;
@@ -147,10 +124,6 @@ pub use exhaustive::{ExhaustiveMatcher, ScoringMode};
 pub use mapping::{Mapping, MappingRegistry};
 pub use matcher::Matcher;
 pub use objective::{ObjectiveConfig, ObjectiveFunction};
-pub use pipeline::{
-    BeamFilter, CandidateFilter, Pipeline, PipelineAnswer, PipelineBuilder, PipelineCertificate,
-    RefineStage, Stage, StageContext, StageOutput, StageReport, Truncate,
-};
 pub use problem::MatchProblem;
 pub use space::{falling_factorial, search_space_size};
 pub use topk::TopKMatcher;

@@ -6,8 +6,7 @@
 //! persistence chaos gate (`smx-persist/tests/chaos.rs`). Each used to
 //! carry its own copy of the matcher roster and the bitwise-comparison
 //! helpers; they live here now so every suite sees the same roster and
-//! a new matching system — the composable [`pipeline`](crate::pipeline)
-//! was the latest — is covered by all of them the day it lands.
+//! a new matching system is covered by all of them the day it lands.
 //!
 //! Everything here is plain library code (no `#[cfg(test)]`): the
 //! persistence crate's integration tests link against it as an ordinary
@@ -20,16 +19,13 @@ use crate::exhaustive::ExhaustiveMatcher;
 use crate::mapping::{Mapping, MappingRegistry};
 use crate::matcher::Matcher;
 use crate::objective::ObjectiveFunction;
-use crate::pipeline::Pipeline;
 use crate::problem::MatchProblem;
 use crate::topk::TopKMatcher;
 use smx_eval::AnswerSet;
 use smx_repo::Repository;
 use smx_xml::Schema;
 
-/// The canonical roster: all five matching systems, plus a composed
-/// filter→refine [`Pipeline`] so declarative pipelines ride through
-/// every differential suite exactly like the monolithic matchers.
+/// The canonical roster: all five matching systems.
 pub fn all_matchers() -> Vec<(&'static str, Box<dyn Matcher + Sync>)> {
     let objective = ObjectiveFunction::default;
     vec![
@@ -41,15 +37,6 @@ pub fn all_matchers() -> Vec<(&'static str, Box<dyn Matcher + Sync>)> {
             Box::new(ClusterMatcher::new(objective(), 0.55, 3)),
         ),
         ("topk", Box::new(TopKMatcher::new(objective(), 25))),
-        (
-            "pipeline",
-            Box::new(
-                Pipeline::builder(objective())
-                    .candidate_filter()
-                    .beam_filter(16)
-                    .refine(ExhaustiveMatcher::new(objective())),
-            ),
-        ),
     ]
 }
 

@@ -45,10 +45,10 @@ impl Ord for Held {
 
 /// Top-k early-termination matcher.
 ///
-/// As a pipeline refine stage
-/// ([`RefineStage::new`](crate::pipeline::RefineStage::new)), the
-/// dynamic budget stays *global* across the surviving schemas, so
-/// upstream pruning can promote deeper-ranked answers into the top k —
+/// As the inner matcher of a
+/// [`CertifiedMatcher`](crate::CertifiedMatcher), the dynamic budget
+/// stays *global* across the surviving schemas, so the candidate
+/// tier's pruning can promote deeper-ranked answers into the top k —
 /// see the certified-matrix suite for what the certificate does and
 /// does not claim here.
 #[derive(Debug, Clone)]

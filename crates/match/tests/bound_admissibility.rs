@@ -4,8 +4,7 @@
 //! (including 0 and ≥ repository size).
 //!
 //! Scenario shapes, thresholds, and budgets are drawn from the shared
-//! [`smx_synth::strategies`] vocabulary, so this gate and the pipeline
-//! algebra gate sample the same input space.
+//! [`smx_synth::strategies`] vocabulary.
 
 use proptest::prelude::*;
 use smx_match::*;

@@ -10,13 +10,14 @@
 //!
 //! The roster and the bitwise assertion come from
 //! [`smx_match::test_support`], shared with the batch-identity and
-//! persistence-chaos suites, so the composed pipeline system faces the
-//! same gate as the monolithic matchers.
+//! persistence-chaos suites, so every matching system faces the same
+//! gate.
 //!
 //! The memo gate pins the store's memoised candidate-tier bound rows:
-//! whatever state the memo is in — warm, stale after appends, shared by
-//! a clone that later diverged, or bounded to one row — candidate sets
-//! and pipeline certificates equal a fresh store's bit for bit.
+//! whatever state the memo is in — warm, cleared, stale after appends,
+//! shared by a clone that later diverged, or bounded to one row —
+//! candidate sets and whole certified runs (answer scores and every
+//! certificate field) equal a fresh store's bit for bit.
 
 use smx_match::test_support::{
     all_matchers, assert_answers_bitwise, canonical_answers, complete_matcher_names,
@@ -57,12 +58,13 @@ fn auto_budget_is_bitwise_identical_for_all_matchers() {
             RecallCertificate::new(&candidates, 0).certified_recall(),
             1.0
         );
-        let restricted = problem.with_candidates(&candidates);
         for (name, matcher) in all_matchers() {
             let oracle = matcher.run(&problem, delta_max, &registry);
-            let tiered = matcher.run(&restricted, delta_max, &registry);
-            assert_answers_bitwise(name, &oracle, &tiered, &registry);
-            assert_answers_bitwise(name, &tiered, &oracle, &registry);
+            let tiered = CertifiedMatcher::new(matcher, generator.clone())
+                .run_certified(&problem, delta_max, &registry);
+            assert_answers_bitwise(name, &oracle, &tiered.answers, &registry);
+            assert_answers_bitwise(name, &tiered.answers, &oracle, &registry);
+            assert_eq!(tiered.certificate.certified_recall(), 1.0, "{name}");
         }
     }
 }
@@ -183,43 +185,30 @@ fn bookkeeping(set: &CandidateSet) -> Bookkeeping {
     )
 }
 
-/// A certified pipeline run's answers and certificates, bit for bit
-/// (stage wall times excluded).
-fn pipeline_run(problem: &MatchProblem, budget: Option<usize>, delta_max: f64) -> Vec<u64> {
-    let objective = ObjectiveFunction::default();
-    let mut builder = Pipeline::builder(objective.clone());
-    for stage in
-        CandidateGenerator::new(objective.clone(), CandidateConfig { budget }).into_stages()
-    {
-        builder = builder.stage_arc(stage);
-    }
+/// A certified exhaustive run's answer scores and every certificate
+/// field, bit for bit.
+fn certified_run(problem: &MatchProblem, budget: Option<usize>, delta_max: f64) -> Vec<u64> {
+    let generator =
+        CandidateGenerator::new(ObjectiveFunction::default(), CandidateConfig { budget });
     let registry = MappingRegistry::new();
-    let run = builder
-        .refine(ExhaustiveMatcher::new(objective))
+    let run = CertifiedMatcher::new(ExhaustiveMatcher::default(), generator)
         .run_certified(problem, delta_max, &registry);
     let mut bits: Vec<u64> = canonical_answers(&run.answers, &registry)
         .into_iter()
         .map(|(_, score)| score)
         .collect();
-    let c = run.certificate.certificate();
+    let c = &run.certificate;
     bits.extend([
         c.answer_count() as u64,
         c.missed_cap().to_bits(),
         c.active_schemas() as u64,
         c.cert_empty_schemas() as u64,
+        c.total_schemas() as u64,
         c.pruned_pairs(),
         c.scored_pairs(),
+        c.delta_max().to_bits(),
         c.certified_recall().to_bits(),
     ]);
-    for stage in run.certificate.stages() {
-        bits.extend([
-            stage.active_in as u64,
-            stage.active_out as u64,
-            stage.cert_empty_added as u64,
-            stage.caps_added.to_bits(),
-            stage.factor.to_bits(),
-        ]);
-    }
     bits
 }
 
@@ -241,9 +230,9 @@ fn assert_matches_fresh(state: &str, personal: &Schema, repo: &Repository, delta
             "{state}, budget {budget:?}: candidate bookkeeping differs"
         );
         assert_eq!(
-            pipeline_run(&got, budget, delta_max),
-            pipeline_run(&want, budget, delta_max),
-            "{state}, budget {budget:?}: pipeline certificates differ"
+            certified_run(&got, budget, delta_max),
+            certified_run(&want, budget, delta_max),
+            "{state}, budget {budget:?}: certified runs differ"
         );
     }
 }
@@ -280,9 +269,7 @@ fn candidate_runs(personal: &Schema, repo: &Repository, delta_max: f64) -> Vec<B
 fn warm_memo(personal: &Schema, repo: &Repository, delta_max: f64) {
     let problem = MatchProblem::new(personal.clone(), repo.clone()).unwrap();
     for budget in [None, Some(0), Some(3), Some(repo.len())] {
-        CandidateGenerator::new(ObjectiveFunction::default(), CandidateConfig { budget })
-            .generate(&problem, delta_max);
-        pipeline_run(&problem, budget, delta_max);
+        certified_run(&problem, budget, delta_max);
     }
 }
 
@@ -325,6 +312,10 @@ fn memoised_bound_rows_match_a_fresh_store_bit_for_bit() {
                 warm.store().counters().bound_row_hits > hits,
                 "memo never hit"
             );
+
+            // Cleared memo: the next requests rebuild every bound row.
+            warm.store().clear_rows();
+            assert_matches_fresh("cleared memo", &personal, &warm, delta_max);
 
             // Stale memo: labels appended after memoisation, including a
             // schema interning the personal labels verbatim — the label

@@ -45,8 +45,6 @@
 //! assert!(tree.contains("  demo.inner"));
 //! ```
 
-#![warn(missing_docs)]
-
 mod metrics;
 mod sink;
 mod trace;

@@ -12,7 +12,7 @@ use smx_obs::{
 
 /// Small shared key pool so merges actually collide on names.
 const KEYS: &[&str] = &["alpha", "beta", "gamma", "delta"];
-const SPAN_NAMES: &[&str] = &["store.score_rows", "pipeline.stage", "candidates.generate"];
+const SPAN_NAMES: &[&str] = &["store.score_rows", "certified.run", "candidates.generate"];
 
 fn histogram() -> impl Strategy<Value = HistogramData> {
     (

@@ -1,7 +1,7 @@
 //! The chaos gate: under *any* deterministic fault plan injected into
 //! the persistence seam — failed writes, torn writes, bit flips,
 //! full crashes — the system must degrade, never diverge. Every roster
-//! matcher (five matching systems and a pipeline) must return answers
+//! matcher (the five matching systems) must return answers
 //! **bitwise identical** to a fault-free oracle run, no operation may
 //! panic, and the damage must be visible through `LabelStore::health`,
 //! not silently absorbed.
@@ -12,7 +12,7 @@
 //! contract). The proptest drives randomized fault plans against
 //! randomized query interleavings; the deterministic battery pins the
 //! interesting plans (crash-at-op, torn record, flipped bit) against
-//! all six roster matchers; the salvage storm flips bits in every
+//! all five roster matchers; the salvage storm flips bits in every
 //! snapshot section and checks the Salvage policy reports the damage
 //! precisely while still answering identically.
 

@@ -124,15 +124,9 @@ else:
     # must beat the cold exhaustive run at 1024 mixed-domain schemas
     # by at least 5x while its certificate stays at recall 1.0 (the
     # bench itself asserts the certificate; this floor guards the
-    # speedup half of the headline), and the composed filter->refine
-    # pipeline (candidate -> beam -> exhaustive-on-survivors, at the
-    # delta where the composition is certifiably lossless) must still
-    # beat the monolithic exhaustive run it decomposes — declarative
-    # composition, stage bookkeeping, and the beam predicate together
-    # must never cost more than they save (the pipeline bench asserts
-    # its composed certificate stays admissible and >= 0.95). The
-    # trace_overhead_disabled floor holds the observability layer to
-    # its near-zero-cost-when-disabled contract: the instrumented
+    # speedup half of the headline). The trace_overhead_disabled
+    # floor holds the observability layer to its
+    # near-zero-cost-when-disabled contract: the instrumented
     # score_rows wrapper with tracing off must stay within ~5% of the
     # byte-for-byte pre-instrumentation baseline (ratio is
     # baseline/disabled, so 1.0 means free and 0.95 caps the cost).
@@ -151,7 +145,6 @@ else:
         "batch_sequential_over_batch": 1.2,
         "candidate_over_exhaustive_1024": 5.0,
         "generate_cold_over_warm_1024": 3.0,
-        "pipeline_over_exhaustive_1024": 1.2,
         "trace_overhead_disabled": 0.95,
     }
     c_rel = committed.get("relative")

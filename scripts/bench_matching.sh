@@ -163,27 +163,6 @@ doc = {
         "generate_cold_1024_ns": entries.get("candidate_tier/generate_cold_1024"),
         "generate_warm_1024_ns": entries.get("candidate_tier/generate_warm_1024"),
     },
-    # The composed filter->refine pipeline (candidate filter -> beam
-    # filter -> exhaustive-on-survivors) racing the monolithic
-    # exhaustive matcher on identical cold 1024-schema problems at
-    # delta 0.2 — the threshold where the beam stage answers every
-    # surviving schema, so the composed certificate stays at recall
-    # 1.0 and the race measures what declarative composition costs.
-    # The within-run ratio is guarded as
-    # relative.pipeline_over_exhaustive_1024. certified_recall is the
-    # composed certificate the speedup was bought at (asserted
-    # admissible -- and >= 0.95 -- inside the bench itself).
-    "pipeline": {
-        "delta_max": 0.2,
-        "composed_ns": entries.get("pipeline/composed_1024"),
-        "exhaustive_ns": entries.get("pipeline/exhaustive_1024"),
-        "speedup_x": ratio(
-            entries.get("pipeline/exhaustive_1024"),
-            entries.get("pipeline/composed_1024"),
-        ),
-        "certified_recall": entries.get("pipeline/certified_recall_1024"),
-        "stages": entries.get("pipeline/stages_1024"),
-    },
     # Tracing overhead on the hot sweep path: "baseline" is the
     # byte-for-byte pre-instrumentation score_rows body, "disabled" the
     # instrumented wrapper with tracing off (one relaxed atomic load),
@@ -229,10 +208,6 @@ doc = {
             entries.get("candidate_tier/generate_cold_1024"),
             entries.get("candidate_tier/generate_warm_1024"),
         ),
-        "pipeline_over_exhaustive_1024": ratio(
-            entries.get("pipeline/exhaustive_1024"),
-            entries.get("pipeline/composed_1024"),
-        ),
         "trace_overhead_disabled": round(
             entries["trace_overhead/paired_baseline_over_disabled"], 3
         ) if entries.get("trace_overhead/paired_baseline_over_disabled") else None,
@@ -242,5 +217,5 @@ with open(sys.argv[2], "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
 print(f"wrote {sys.argv[2]}")
-print(json.dumps({k: doc[k] for k in ("exhaustive_speedup", "matrix_fill", "batch32", "restart", "row_kernel", "candidate_tier", "pipeline", "trace_overhead", "relative")}, indent=2))
+print(json.dumps({k: doc[k] for k in ("exhaustive_speedup", "matrix_fill", "batch32", "restart", "row_kernel", "candidate_tier", "trace_overhead", "relative")}, indent=2))
 EOF

@@ -10,7 +10,7 @@
 #   2. cargo fmt --check (whole workspace; the tree is kept rustfmt-clean)
 #   3. release build of every crate
 #   4. full test suite (includes the kernel dispatch differential suites
-#      and the SMX_KERNEL_FORCE forced-variant tests — see below; step 15
+#      and the SMX_KERNEL_FORCE forced-variant tests — see below; step 14
 #      runs them again by name)
 #   5. clippy with warnings denied (all targets: libs, tests, benches,
 #      examples, figure binaries)
@@ -39,18 +39,15 @@
 #  10. certified candidate-tier suites, likewise named: the
 #      differential suite (candidate-restricted answers bitwise equal
 #      to the exhaustive oracle's, certificates admissible across
-#      matchers and budgets) and the bound-admissibility property
+#      matchers and budgets, whole certified runs bitwise equal under
+#      any bound-row memo state), the bound-admissibility property
 #      suite (certified recall never exceeds measured recall,
-#      including budget 0 and budget >= n edges). A certification
-#      regression fails here by name, not buried in step 4.
-#  11. pipeline-algebra suites, likewise named: the pipeline
-#      differential gate (every candidate→refine decomposition bitwise
-#      equal to its monolith), the proptest algebra gate over random
-#      stage compositions (composed certificates stay admissible), and
-#      the certified matrix (what each matcher class — complete /
+#      including budget 0 and budget >= n edges), and the certified
+#      matrix (what each matcher class — complete /
 #      restriction-monotone / global-budget — can promise under fixed
-#      budgets).
-#  12. observability suites, likewise named: the trace-identity gate
+#      budgets). A certification regression fails here by name, not
+#      buried in step 4.
+#  11. observability suites, likewise named: the trace-identity gate
 #      (tracing on/off changes no matcher's answers bitwise — clean
 #      runs, fault storms, and the JSON-lines sink), the metrics
 #      property suite (snapshot/histogram merges associative, trace
@@ -60,35 +57,35 @@
 #      plus an examples/observability smoke run under SMX_TRACE=1
 #      (exits non-zero unless the span tree covers candidate
 #      generation, the restricted fill, and the refine stage).
-#  13. mutation suites, likewise named: the mutation edge-case +
+#  12. mutation suites, likewise named: the mutation edge-case +
 #      property suite (remove-then-readd, replace under a bounded store
 #      with spilled rows, removal racing concurrent batch sweeps,
 #      arbitrary mutation histories vs fresh rebuilds) and the mutation
 #      differential gate (a bounded, mutated repository gives every
 #      matcher answers bitwise identical to a fresh unbounded rebuild).
-#  14. store suites, likewise named: the LRU property suite (swept
+#  13. store suites, likewise named: the LRU property suite (swept
 #      and subset-filled rows under one bound, evicted rows recompute
 #      bitwise), store reuse (repeat problems refill without a pair
 #      evaluation), and batch admission (a bound below the batch
 #      vocabulary costs recompute per chunk only). A row-cache
 #      regression fails here by name, not buried in step 4.
-#  15. text-kernel suites, likewise named: the dispatch differential
+#  14. text-kernel suites, likewise named: the dispatch differential
 #      (every kernel variant bitwise equal to the scalar oracle), the
 #      three SMX_KERNEL_FORCE forced-variant binaries, and the
 #      similarity properties (range, symmetry, identity, and the
 #      row-kernel-vs-scalar and flat-vs-reference n-gram bitwise
 #      properties). A scoring regression fails here by name, not
 #      buried in step 4.
-#  16. request-level benchmark smoke (scripts/reqbench_smoke.sh):
+#  15. request-level benchmark smoke (scripts/reqbench_smoke.sh):
 #      reqbench built offline, every BENCHMARK.json workload run for one
 #      traced second at a fixed seed; fails unless each reports
 #      "correct": true — the benchmark that gates changes must keep
 #      building and answering correctly against the current API.
-#  17. bench-regression guard (scripts/bench_guard.sh): a fresh
+#  16. bench-regression guard (scripts/bench_guard.sh): a fresh
 #      scripts/bench_matching.sh run compared against the committed
 #      BENCH_matching.json with a +25% budget.
 #
-# Steps 9–15 run through named_suites(), which fails loudly if any named
+# Steps 9–14 run through named_suites(), which fails loudly if any named
 # test binary reports "running 0 tests" — a renamed file or filter typo
 # must not silently disable a gate.
 #
@@ -116,7 +113,7 @@
 # Tracing: SMX_TRACE switches structured tracing on process-wide
 # (1 = in-process span collector, json = JSON-lines sink at
 # SMX_TRACE_FILE or ./smx-trace.jsonl). Instrumentation is contractually
-# inert — the trace-identity gate in step 12 proves answers are bitwise
+# inert — the trace-identity gate in step 11 proves answers are bitwise
 # unchanged either way, and the trace_overhead bench holds the disabled
 # path within ~5% of the pre-instrumentation baseline
 # (relative.trace_overhead_disabled). SMX_TRACE=1 scripts/verify.sh is
@@ -137,67 +134,65 @@ named_suites() {
   fi
 }
 
-echo "== [1/17] workflow files parse (.github/workflows/*.yml)"
+echo "== [1/16] workflow files parse (.github/workflows/*.yml)"
 for workflow in .github/workflows/*.yml; do
   python3 -c 'import sys, yaml; yaml.safe_load(open(sys.argv[1]))' "$workflow" ||
     { echo "verify: FAIL — $workflow is not valid YAML" >&2; exit 1; }
 done
 
-echo "== [2/17] cargo fmt --all --check"
+echo "== [2/16] cargo fmt --all --check"
 cargo fmt --all --check
 
-echo "== [3/17] cargo build --release"
+echo "== [3/16] cargo build --release"
 cargo build --release
 
-echo "== [4/17] cargo test -q"
+echo "== [4/16] cargo test -q"
 cargo test -q
 
-echo "== [5/17] cargo clippy --all-targets -- -D warnings"
+echo "== [5/16] cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "== [6/17] cargo doc --no-deps (warnings denied)"
+echo "== [6/16] cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p smx -p smx-core -p smx-obs -p smx-text -p smx-xml -p smx-repo \
   -p smx-match -p smx-persist -p smx-eval -p smx-synth -p smx-bench
 
-echo "== [7/17] cargo bench --no-run"
+echo "== [7/16] cargo bench --no-run"
 cargo bench -p smx-bench --no-run
 
-echo "== [8/17] snapshot round-trip smoke (examples/warm_restart)"
+echo "== [8/16] snapshot round-trip smoke (examples/warm_restart)"
 cargo run --release --example warm_restart >/dev/null
 
-echo "== [9/17] persistence suites (crash matrix, chaos, spill compaction, failure paths, persist identity)"
+echo "== [9/16] persistence suites (crash matrix, chaos, spill compaction, failure paths, persist identity)"
 named_suites -p smx-persist --test crash_matrix --test chaos --test spill_compaction \
   --test failure_paths --test persist_identity
 
-echo "== [10/17] certified candidate-tier suites (differential, bound admissibility)"
-named_suites -p smx-match --test candidate_differential --test bound_admissibility
+echo "== [10/16] certified candidate-tier suites (differential, bound admissibility, certified matrix)"
+named_suites -p smx-match --test candidate_differential --test bound_admissibility \
+  --test certified_matrix
 
-echo "== [11/17] pipeline-algebra suites (differential, algebra, certified matrix)"
-named_suites -p smx-match --test pipeline_differential --test pipeline_algebra --test certified_matrix
-
-echo "== [12/17] observability suites (trace identity, metrics properties, counter consistency)"
+echo "== [11/16] observability suites (trace identity, metrics properties, counter consistency)"
 named_suites -p smx-persist --test trace_identity
 named_suites -p smx-obs --test metrics_properties
 named_suites -p smx-repo --test trace_concurrency
 SMX_TRACE=1 cargo run --release --example observability >/dev/null
 
-echo "== [13/17] mutation suites (edge cases + properties, differential gate)"
+echo "== [12/16] mutation suites (edge cases + properties, differential gate)"
 named_suites -p smx-repo --test mutation
 named_suites -p smx-match --test mutation_differential
 
-echo "== [14/17] store suites (LRU properties, reuse, batch admission)"
+echo "== [13/16] store suites (LRU properties, reuse, batch admission)"
 named_suites -p smx-repo --test store_lru
 named_suites -p smx-match --test store_reuse --test batch_admission
 
-echo "== [15/17] text-kernel suites (dispatch differential, forced variants, properties)"
+echo "== [14/16] text-kernel suites (dispatch differential, forced variants, properties)"
 named_suites -p smx-text --test dispatch_differential --test forced_variant_scalar \
   --test forced_variant_swar --test forced_variant_arch --test properties
 
-echo "== [16/17] request-level benchmark smoke (scripts/reqbench_smoke.sh)"
+echo "== [15/16] request-level benchmark smoke (scripts/reqbench_smoke.sh)"
 scripts/reqbench_smoke.sh
 
-echo "== [17/17] bench-regression guard (scripts/bench_guard.sh, mode: ${SMX_BENCH_GUARD:-absolute})"
+echo "== [16/16] bench-regression guard (scripts/bench_guard.sh, mode: ${SMX_BENCH_GUARD:-absolute})"
 scripts/bench_guard.sh
 
 echo "verify: OK"

@@ -41,7 +41,7 @@
 //!
 //! # Observability
 //!
-//! The hot paths of the store, candidate generator, pipeline stages,
+//! The hot paths of the store, candidate generator, certified matcher,
 //! batch matcher, and persistence layer are instrumented with [`obs`]
 //! spans and metrics. Tracing is off by default and costs one relaxed
 //! atomic load per site; set `SMX_TRACE=1` (in-memory collector — see
