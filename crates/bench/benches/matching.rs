@@ -268,9 +268,9 @@ fn bench_restart(c: &mut Criterion) {
     // without persistence — replay every schema ingest (profiles,
     // postings) and re-sweep every warm row; `snapshot_load` decodes
     // the smx-persist snapshot instead (rows come back as stored bits,
-    // profiles are rebuilt from label text). The ratio is tracked as
-    // `restart.snapshot_speedup_x` in BENCH_matching.json and guarded
-    // by scripts/verify.sh.
+    // profiles and filter lanes are rebuilt from label text). The ratio
+    // is tracked as `restart.snapshot_speedup_x` in BENCH_matching.json
+    // and guarded by scripts/verify.sh.
     let (personals, repository) = batch_workload(32);
     let batch =
         BatchProblem::new(personals, repository.clone()).expect("non-empty personal schemas");

@@ -46,17 +46,14 @@
 //! | 3  | *retired*  | version 1's token inverted index: in a version-1 snapshot it is checksummed like any unknown id and never decoded; the id is never reused |
 //! | 4  | rows       | each cached score row's covered leading run `(query, f64 bits…)`, least recently used first |
 //! | 5  | config     | `StoreConfig`: cache bound + sweep worker count |
-//! | 6  | filters    | candidate-generation filter lanes (`FilterProfileData` per label, id order) — **optional/additive**: absent in pre-filter snapshots, rebuilt from labels |
+//! | 6  | *retired*  | earlier writers' candidate-generation filter lanes: checksummed like any unknown id and never decoded, since every load rebuilds the lanes from the labels; the id is never reused |
 //! | 7  | tombstones | per-slot `(removed, generation)` — **optional/additive**: absent in pre-mutability snapshots, which load all-live |
 //!
-//! Label *profiles* are not stored: `LabelProfile::new` is a pure
-//! function of the label text (the row-kernel identity contract), so the
-//! loader rebuilds them — cheaper than decoding prepared Myers tables
-//! and bitwise-equivalent by construction. Filter *lanes* (section 6)
-//! are equally a pure function of the label text, but they *are*
-//! stored: skipping the per-label re-derivation keeps warm restarts on
-//! their load-vs-rebuild budget, and a missing or damaged FILTERS
-//! section degrades to exactly that rebuild.
+//! Label *profiles* and the candidate tier's filter *lanes* are not
+//! stored: `LabelProfile::new` is a pure function of the label text
+//! (the row-kernel identity contract) and the lanes a pure function of
+//! the profiles, so the loader rebuilds both — bitwise-equivalent by
+//! construction, and no damaged section can hold them.
 //!
 //! # Versioning and compatibility policy
 //!
@@ -67,13 +64,15 @@
 //!   the rest ([`PersistError::UnsupportedVersion`]) rather than guess.
 //! * Within a version, writers may append **new section ids**; readers
 //!   skip unknown ids, so adding a section is forward- and
-//!   backward-compatible. Removing or re-encoding a section requires a
-//!   version bump, and a removed id is retired, never reused.
-//!   Sections 1, 2, 4 and 5 are mandatory
-//!   ([`PersistError::MissingSection`]); FILTERS (6) and TOMBSTONES (7)
-//!   are additive — a strict load accepts their absence (older writers)
-//!   and rebuilds the lanes from the label list or loads every slot
-//!   live, but rejects a *present* damaged one.
+//!   backward-compatible. For the same reason a writer may stop writing
+//!   an *optional* section without a version bump: readers of that
+//!   version already accept its absence, and its id is retired, never
+//!   reused (id 6). Removing a *mandatory* section or re-encoding any
+//!   section still requires a version bump, and its id is retired too
+//!   (id 3). Sections 1, 2, 4 and 5 are mandatory
+//!   ([`PersistError::MissingSection`]); TOMBSTONES (7) is additive — a
+//!   strict load accepts its absence (older writers) and loads every
+//!   slot live, but rejects a *present* damaged one.
 //! * Decoding is all-or-nothing: any error leaves no partially built
 //!   repository behind.
 //!
@@ -116,16 +115,14 @@
 //!   is a typed [`PersistError`]. Under
 //!   [`RecoveryPolicy::Salvage`], damage to a *derived* section
 //!   degrades instead of failing: labels are rebuilt by replaying the
-//!   (intact) schemas, cached rows are dropped to a cold store, filter
-//!   lanes are rebuilt from the labels, config falls back to defaults,
-//!   and lost tombstones load every slot live at generation 1 (the
-//!   mutation history is unknown, so the store stops claiming an
-//!   add-only one). A label replay matches the lost label ids only for
-//!   a store never mutated, so after a remove or replace — or after a
-//!   tombstone loss — it drops the cached rows and rebuilds the filter
-//!   lanes too. Each action is recorded as a
-//!   [`SalvageEvent`] in the returned [`SnapshotReport`] and stamped
-//!   on the store's health. Only the SCHEMAS section is load-bearing:
+//!   (intact) schemas, cached rows are dropped to a cold store, config
+//!   falls back to defaults, and lost tombstones load every slot live
+//!   at generation 1 (the mutation history is unknown, so the store
+//!   stops claiming an add-only one). A label replay matches the lost
+//!   label ids only for a store never mutated, so after a remove or
+//!   replace — or after a tombstone loss — it drops the cached rows
+//!   too. Each action is recorded as a [`SalvageEvent`] in the
+//!   returned [`SnapshotReport`] and stamped on the store's health. Only the SCHEMAS section is load-bearing:
 //!   it is the one source of truth the rest can be rebuilt from, so
 //!   its damage (or a damaged header) still fails under either policy.
 //! * **Spill writes** are best-effort: a write error degrades the sink

@@ -45,11 +45,13 @@ pub const FORMAT_VERSION: u32 = 2;
 /// Section ids of the version-2 layout. Readers skip ids they don't
 /// know (see the compatibility policy).
 ///
-/// Id 3 is **retired**: version-1 writers stored a token inverted
-/// index there, which nothing read. A version-1 snapshot still carries
-/// it; readers treat it like any unknown id (its checksum is verified
-/// with the table, its payload is never decoded). The id is never to be
-/// reused.
+/// Ids 3 and 6 are **retired**. Version-1 writers stored a token
+/// inverted index under id 3, which nothing read. Earlier writers
+/// stored candidate-generation filter lanes under id 6, which every
+/// load now rebuilds from the label text. Snapshots from those writers
+/// still carry them; readers treat them like any unknown id (the
+/// checksum is verified with the table, the payload is never decoded).
+/// Neither id is ever to be reused.
 pub mod section {
     /// Repository schemas (names + arena nodes).
     pub const SCHEMAS: u32 = 1;
@@ -59,20 +61,15 @@ pub mod section {
     pub const ROWS: u32 = 4;
     /// Store configuration (cache bound, sweep workers).
     pub const CONFIG: u32 = 5;
-    /// Candidate-generation filter lanes, one `FilterProfileData` per
-    /// label in id order. **Optional/additive**: snapshots written
-    /// before this section existed simply lack it, and the loader
-    /// rebuilds the lanes from the label text.
-    pub const FILTERS: u32 = 6;
     /// Per-slot mutation state: one `(removed, generation)` pair per
-    /// schema slot, in id order. **Optional/additive** like FILTERS:
-    /// snapshots written before schema mutability existed lack it, and
+    /// schema slot, in id order. **Optional/additive**: snapshots
+    /// written before schema mutability existed lack it, and
     /// the loader treats every slot as live at generation 0 (exactly
     /// what those snapshots describe — tombstones didn't exist yet).
     pub const TOMBSTONES: u32 = 7;
 
-    /// Every mandatory section. FILTERS and TOMBSTONES are deliberately
-    /// not in this list — their absence is legal (older writers).
+    /// Every mandatory section. TOMBSTONES is deliberately not in this
+    /// list — its absence is legal (older writers).
     pub const MANDATORY: [u32; 4] = [SCHEMAS, LABELS, ROWS, CONFIG];
 }
 
@@ -88,10 +85,10 @@ pub enum RecoveryPolicy {
     /// Keep everything that still verifies; rebuild or drop what
     /// doesn't. Only the SCHEMAS section is required — labels are
     /// rebuilt from the schemas by deterministic replay (dropping the
-    /// cached rows and stored filter lanes too when the replay cannot
-    /// be proven to reproduce the lost label order), damaged cached
-    /// rows are dropped (a cold store, rebuilt on demand), damaged
-    /// config falls back to defaults. What was salvaged is reported in
+    /// cached rows too when the replay cannot be proven to reproduce
+    /// the lost label order), damaged cached rows are dropped (a cold
+    /// store, rebuilt on demand), damaged config falls back to
+    /// defaults. What was salvaged is reported in
     /// the returned [`SnapshotReport`]; match answers stay
     /// bitwise-identical either way because every rebuilt structure is
     /// a pure function of the schemas. The right mode for
@@ -134,8 +131,7 @@ pub enum SalvageEvent {
     /// order equals ingest order only for a store no schema was ever
     /// removed from or replaced in; otherwise the replayed label list
     /// can miss or reorder labels of the lost one, and the load also
-    /// drops ROWS and rebuilds FILTERS (each reported as
-    /// [`Damage::Inconsistent`]).
+    /// drops ROWS (reported as [`Damage::Inconsistent`]).
     LabelsRebuilt(Damage),
     /// ROWS was damaged (or contradicted the label list, or a LABELS
     /// rebuild could not be proven exact); all cached score rows were
@@ -145,14 +141,6 @@ pub enum SalvageEvent {
     /// CONFIG was damaged; the store uses default configuration
     /// (unbounded cache, auto sweep threads).
     ConfigDefaulted(Damage),
-    /// FILTERS was damaged (checksum, decode, a lane count that
-    /// contradicts the label list, or a LABELS rebuild that could not
-    /// be proven exact); the candidate-generation filter
-    /// lanes were rebuilt from the label text — identical by
-    /// construction, so candidate bounds are unaffected. A snapshot
-    /// that simply *predates* the section rebuilds silently, without
-    /// this event.
-    FiltersRebuilt(Damage),
     /// TOMBSTONES was damaged (checksum, decode, or a slot count that
     /// contradicts the schema list); every slot was marked live at
     /// generation 1. The mutation history is unknown, so no slot claims
@@ -177,9 +165,6 @@ impl fmt::Display for SalvageEvent {
             }
             SalvageEvent::ConfigDefaulted(d) => {
                 write!(f, "CONFIG {d}: store config reset to defaults")
-            }
-            SalvageEvent::FiltersRebuilt(d) => {
-                write!(f, "FILTERS {d}: filter lanes rebuilt from labels")
             }
             SalvageEvent::TombstonesDropped(d) => {
                 write!(f, "TOMBSTONES {d}: all slots marked live at generation 1")
@@ -307,28 +292,9 @@ impl Snapshot for Repository {
             (section::LABELS, encode_labels(&state)),
             (section::ROWS, encode_rows(&state)),
             (section::CONFIG, encode_config(&state)),
-            (section::FILTERS, encode_filters(&state)),
             (section::TOMBSTONES, encode_tombstones(&state)),
         ];
-        let mut w = Writer::new();
-        w.put_bytes(&MAGIC);
-        w.put_u32(FORMAT_VERSION);
-        w.put_u32(sections.len() as u32);
-        // Table first (offsets backpatched), payloads after.
-        let mut entry_at = Vec::with_capacity(sections.len());
-        for (id, payload) in &sections {
-            w.put_u32(*id);
-            entry_at.push(w.len());
-            w.put_u64(0); // offset, patched below
-            w.put_u64(payload.len() as u64);
-            w.put_u64(fnv1a(payload));
-        }
-        for ((_, payload), at) in sections.iter().zip(entry_at) {
-            let offset = w.len() as u64;
-            w.patch_u64(at, offset);
-            w.put_bytes(payload);
-        }
-        let bytes = w.into_bytes();
+        let bytes = assemble(&sections);
         if span.is_active() {
             span.attr("sections", sections.len());
             span.attr("rows", state.rows.len());
@@ -364,6 +330,30 @@ impl Snapshot for Repository {
     }
 }
 
+/// Lay out a snapshot image: the header, then the section table
+/// (offsets backpatched, checksums over the payloads), then the
+/// payloads in table order.
+fn assemble(sections: &[(u32, impl AsRef<[u8]>)]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_bytes(&MAGIC);
+    w.put_u32(FORMAT_VERSION);
+    w.put_u32(sections.len() as u32);
+    let mut entry_at = Vec::with_capacity(sections.len());
+    for (id, payload) in sections {
+        w.put_u32(*id);
+        entry_at.push(w.len());
+        w.put_u64(0); // offset, patched below
+        w.put_u64(payload.as_ref().len() as u64);
+        w.put_u64(fnv1a(payload.as_ref()));
+    }
+    for ((_, payload), at) in sections.iter().zip(entry_at) {
+        let offset = w.len() as u64;
+        w.patch_u64(at, offset);
+        w.put_bytes(payload.as_ref());
+    }
+    w.into_bytes()
+}
+
 /// The strict load: every checksum verified up front, every payload
 /// decoded, every cross-check passed — any failure rejects the whole
 /// snapshot before any repository state exists.
@@ -380,13 +370,11 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
     let (labels, schema_labels) = decode_labels(payload(section::LABELS)?)?;
     let rows = decode_rows(payload(section::ROWS)?)?;
     let (max_cached_rows, batch_threads) = decode_config(payload(section::CONFIG)?)?;
-    // FILTERS and TOMBSTONES are additive: absent (an older writer)
-    // means the lanes are rebuilt from the label text at import and
-    // every slot is live at generation 0; *present* but undecodable is
-    // damage and rejected like any other strict failure. (A present
-    // section with a bad checksum never reaches here — the table pass
-    // already rejected it.)
-    let filters = optional(section::FILTERS).map(decode_filters).transpose()?;
+    // TOMBSTONES is additive: absent (an older writer) means every slot
+    // is live at generation 0; *present* but undecodable is damage and
+    // rejected like any other strict failure. (A present section with a
+    // bad checksum never reaches here — the table pass already rejected
+    // it.)
     let tombstones = optional(section::TOMBSTONES)
         .map(decode_tombstones)
         .transpose()?;
@@ -396,7 +384,6 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
         rows,
         max_cached_rows,
         batch_threads,
-        filters,
         tombstones,
     };
     validate(&schemas, &state)?;
@@ -417,11 +404,10 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
 ///   replaced: TOMBSTONES absent (a pre-mutability writer) or intact
 ///   with every slot live at generation 0. Otherwise removals may have
 ///   orphaned labels and replaces appended them, so the replay can miss
-///   or reorder labels of the lost list, and ROWS and FILTERS (both
-///   indexed by label id) are dropped and rebuilt as inconsistent.
+///   or reorder labels of the lost list, and ROWS (indexed by label id)
+///   is dropped as inconsistent.
 /// * ROWS → dropped; the store restarts cold and re-sweeps on demand.
 /// * CONFIG → defaults.
-/// * FILTERS → rebuilt from the label text.
 /// * TOMBSTONES → every slot live at generation 1, since the history
 ///   is unknown; only an absent section (a pre-mutability writer)
 ///   loads at generation 0.
@@ -470,9 +456,8 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
             Some(pair) => (pair, true),
             None => (rebuild_labels(&schemas), replay_exact),
         };
-    // ROWS and FILTERS are indexed by label id: kept only on the saved
-    // ids, sized to the final label list. Dropped rows leave a cold
-    // store; `None` lanes are re-derived, identically, at import.
+    // ROWS is indexed by label id: kept only on the saved ids, sized to
+    // the final label list. Dropped rows leave a cold store.
     let rows = checked(payload(section::ROWS), decode_rows, |rows| {
         ids_kept && validate_rows(labels.len(), rows).is_ok()
     });
@@ -483,10 +468,6 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
     let (max_cached_rows, batch_threads) = report
         .salvaged(section::CONFIG, config, SalvageEvent::ConfigDefaulted)
         .unwrap_or((None, 0));
-    let filters = checked(payload(section::FILTERS), decode_filters, |f| {
-        ids_kept && f.len() == labels.len()
-    });
-    let filters = report.salvaged(section::FILTERS, filters, SalvageEvent::FiltersRebuilt);
     // Damaged tombstones load every slot live at generation 1: the
     // history is lost, so the next snapshot must not read as add-only.
     // Match answers are unaffected (removed slots persist as empty
@@ -507,7 +488,6 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
         rows,
         max_cached_rows,
         batch_threads,
-        filters,
         tombstones,
     };
     // The assembled state passed its checks piecewise; the composed
@@ -873,119 +853,22 @@ fn decode_tombstones(bytes: &[u8]) -> Result<Vec<(bool, u64)>, PersistError> {
     Ok(slots)
 }
 
-fn encode_filters(state: &StoreState) -> Vec<u8> {
-    let mut w = Writer::new();
-    let lanes = state.filters.as_deref().unwrap_or(&[]);
-    w.put_u32(lanes.len() as u32);
-    for p in lanes {
-        w.put_u32(p.norm_len);
-        for &c in &p.prefix {
-            w.put_u32(c);
-        }
-        w.put_u32(p.unigrams.len() as u32);
-        for &(scalar, count) in &p.unigrams {
-            w.put_u32(scalar);
-            w.put_u32(count);
-        }
-        w.put_u32(p.token_count);
-        w.put_u32(p.token_lens.len() as u32);
-        for &l in &p.token_lens {
-            w.put_u32(l);
-        }
-        w.put_u64(p.initials);
-        w.put_u32(p.gram_keys.len() as u32);
-        for &k in &p.gram_keys {
-            w.put_u64(k);
-        }
-        for &c in &p.gram_counts {
-            w.put_u32(c);
-        }
-        w.put_u64(p.gram_total);
-    }
-    w.into_bytes()
-}
-
-fn decode_filters(bytes: &[u8]) -> Result<Vec<smx_repo::FilterProfileData>, PersistError> {
-    let mut r = Reader::new(bytes);
-    let count = r.get_u32()? as usize;
-    let mut lanes = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let norm_len = r.get_u32()?;
-        let mut prefix = [0u32; 4];
-        for c in &mut prefix {
-            *c = r.get_u32()?;
-        }
-        let n = r.get_u32()? as usize;
-        if n > r.remaining() / 8 {
-            return Err(PersistError::Truncated);
-        }
-        let mut unigrams = Vec::with_capacity(n);
-        for _ in 0..n {
-            let scalar = r.get_u32()?;
-            let count = r.get_u32()?;
-            unigrams.push((scalar, count));
-        }
-        let token_count = r.get_u32()?;
-        let n = r.get_u32()? as usize;
-        if n > r.remaining() / 4 {
-            return Err(PersistError::Truncated);
-        }
-        let mut token_lens = Vec::with_capacity(n);
-        for _ in 0..n {
-            token_lens.push(r.get_u32()?);
-        }
-        let initials = r.get_u64()?;
-        let n = r.get_u32()? as usize;
-        if n > r.remaining() / 12 {
-            return Err(PersistError::Truncated);
-        }
-        let mut gram_keys = Vec::with_capacity(n);
-        for _ in 0..n {
-            gram_keys.push(r.get_u64()?);
-        }
-        let mut gram_counts = Vec::with_capacity(n);
-        for _ in 0..n {
-            gram_counts.push(r.get_u32()?);
-        }
-        let gram_total = r.get_u64()?;
-        lanes.push(smx_repo::FilterProfileData {
-            norm_len,
-            prefix,
-            unigrams,
-            token_count,
-            token_lens,
-            initials,
-            gram_keys,
-            gram_counts,
-            gram_total,
-        });
-    }
-    Ok(lanes)
-}
-
 /// Cross-reference the decoded sections before any store is built: the
 /// label list must be duplicate-free, every column map must mirror its
 /// schema's node names through the label list, every cached row must be
-/// a valid prefix of the label list, and the filter lanes and tombstones
-/// must match the label and slot counts. The salvage path runs the same
-/// checks section by section.
+/// a valid prefix of the label list, and the tombstones must match the
+/// slot count. The salvage path runs the same checks section by section.
 fn validate(schemas: &[Schema], state: &StoreState) -> Result<(), PersistError> {
     validate_labels(schemas, &state.labels, &state.schema_labels)?;
     validate_rows(state.labels.len(), &state.rows)?;
-    // Filter lanes and tombstones, when present, hold one entry per
-    // label and per slot. (Lane-internal invariants are re-validated by
-    // the store at import; a violation there degrades to a rebuild from
-    // label text, which is bitwise-equivalent by construction.)
-    let counted = |what: &str, found: Option<usize>, expected: usize, per: &str| match found {
-        Some(n) if n != expected => Err(PersistError::Corrupt(format!(
-            "{n} {what} for {expected} {per}"
+    match &state.tombstones {
+        Some(slots) if slots.len() != schemas.len() => Err(PersistError::Corrupt(format!(
+            "{} tombstone slots for {} schemas",
+            slots.len(),
+            schemas.len()
         ))),
         _ => Ok(()),
-    };
-    let lanes = state.filters.as_ref().map(Vec::len);
-    counted("filter lanes", lanes, state.labels.len(), "labels")?;
-    let slots = state.tombstones.as_ref().map(Vec::len);
-    counted("tombstone slots", slots, schemas.len(), "schemas")
+    }
 }
 
 /// The LABELS cross-checks: duplicate-free label list, one column map
@@ -1204,97 +1087,36 @@ mod tests {
         assert_eq!(loaded.store().config(), smx_repo::StoreConfig::default());
     }
 
-    #[test]
-    fn filters_section_round_trips_lanes() {
-        let repo = repository();
-        let loaded = Repository::load_snapshot(&repo.save_snapshot()).unwrap();
-        let (a, b) = (repo.store(), loaded.store());
-        assert_eq!(a.filter_index().len(), b.filter_index().len());
-        assert_eq!(a.filter_index().export(), b.filter_index().export());
-        // The loaded lanes bound identically to the saved ones.
+    /// Assert `b`'s candidate bounds equal `a`'s bitwise for every query:
+    /// the dense full-precision pass and the memoised cheap bound row.
+    fn assert_bitwise_bounds(a: &Repository, b: &Repository, queries: &[&str]) {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let (mut x, mut y) = (Vec::new(), Vec::new());
-        for q in ["bookTitle", "store", ""] {
-            let filter = smx_repo::QueryFilter::new(q);
-            a.similarity_upper_bounds(&filter, &mut x);
-            b.similarity_upper_bounds(&filter, &mut y);
-            assert_eq!(x, y, "{q:?}");
+        for query in queries {
+            let filter = smx_repo::QueryFilter::new(query);
+            a.store().similarity_upper_bounds(&filter, &mut x);
+            b.store().similarity_upper_bounds(&filter, &mut y);
+            assert_eq!(bits(&x), bits(&y), "{query:?}");
+            let (p, q) = (a.store().bound_row(query), b.store().bound_row(query));
+            assert_eq!(bits(p.cheap()), bits(q.cheap()), "{query:?}");
         }
     }
 
-    #[test]
-    fn strict_load_rejects_corrupt_filters() {
-        let repo = repository();
-        let mut bytes = repo.save_snapshot();
-        corrupt_section(&mut bytes, section::FILTERS);
-        assert!(matches!(
-            Repository::load_snapshot(&bytes),
-            Err(PersistError::ChecksumMismatch(section::FILTERS))
-        ));
-    }
-
-    #[test]
-    fn salvage_rebuilds_corrupt_filters_from_labels() {
-        let repo = repository();
-        let mut bytes = repo.save_snapshot();
-        corrupt_section(&mut bytes, section::FILTERS);
-        let (loaded, report) =
-            Repository::load_snapshot_report(&bytes, RecoveryPolicy::Salvage).unwrap();
-        assert_eq!(
-            report.events,
-            vec![SalvageEvent::FiltersRebuilt(Damage::BadChecksum)]
-        );
-        // Rebuilt lanes are identical to the lost ones (pure function
-        // of the label text), so candidate bounds are unaffected.
-        assert_eq!(
-            loaded.store().filter_index().export(),
-            repo.store().filter_index().export()
-        );
-        assert_eq!(loaded.store().salvage_events(), 1);
+    /// `bytes`'s sections in table order, as `(id, payload)`.
+    fn sections_of(bytes: &[u8]) -> Vec<(u32, &[u8])> {
+        read_section_table(bytes)
+            .unwrap()
+            .iter()
+            .map(|s| (s.id, &bytes[s.offset..s.offset + s.len]))
+            .collect()
     }
 
     /// Rebuild snapshot bytes keeping only the sections in `keep` —
     /// simulates a writer from before an additive section existed.
     fn strip_to_sections(bytes: &[u8], keep: &[u32]) -> Vec<u8> {
-        let sections = read_section_table(bytes).unwrap();
-        let kept: Vec<_> = sections.iter().filter(|s| keep.contains(&s.id)).collect();
-        let mut w = Writer::new();
-        w.put_bytes(&MAGIC);
-        w.put_u32(FORMAT_VERSION);
-        w.put_u32(kept.len() as u32);
-        let mut entry_at = Vec::new();
-        for s in &kept {
-            w.put_u32(s.id);
-            entry_at.push(w.len());
-            w.put_u64(0);
-            w.put_u64(s.len as u64);
-            w.put_u64(fnv1a(&bytes[s.offset..s.offset + s.len]));
-        }
-        for (s, at) in kept.iter().zip(entry_at) {
-            let offset = w.len() as u64;
-            w.patch_u64(at, offset);
-            w.put_bytes(&bytes[s.offset..s.offset + s.len]);
-        }
-        w.into_bytes()
-    }
-
-    #[test]
-    fn snapshots_without_filters_section_load_and_rebuild_lanes() {
-        // A snapshot from a pre-FILTERS writer: the mandatory sections
-        // only.
-        let repo = repository();
-        let old = strip_to_sections(&repo.save_snapshot(), &section::MANDATORY);
-        let loaded = Repository::load_snapshot(&old).expect("additive section may be absent");
-        assert_eq!(loaded, repo);
-        // Lanes were rebuilt from the label text — identical to what a
-        // new writer would have persisted — and silently (no salvage).
-        assert_eq!(
-            loaded.store().filter_index().export(),
-            repo.store().filter_index().export()
-        );
-        let (salvaged, report) =
-            Repository::load_snapshot_report(&old, RecoveryPolicy::Salvage).unwrap();
-        assert!(report.is_clean(), "absence is compatibility, not damage");
-        assert_eq!(salvaged.store().salvage_events(), 0);
+        let mut sections = sections_of(bytes);
+        sections.retain(|s| keep.contains(&s.0));
+        assemble(&sections)
     }
 
     /// A repository with one removed and one replaced slot — the
@@ -1350,9 +1172,7 @@ mod tests {
         // state such a writer could have had — and silently (absence is
         // compatibility, not damage).
         let repo = repository();
-        let mut keep = section::MANDATORY.to_vec();
-        keep.push(section::FILTERS);
-        let old = strip_to_sections(&repo.save_snapshot(), &keep);
+        let old = strip_to_sections(&repo.save_snapshot(), &section::MANDATORY);
         let loaded = Repository::load_snapshot(&old).expect("additive section may be absent");
         assert_eq!(loaded, repo);
         for sid in loaded.schema_ids() {
@@ -1392,16 +1212,18 @@ mod tests {
     }
 
     /// [`mutated_repository`] as the last version-1 writer saved it:
-    /// it still carries the retired section 3.
+    /// it still carries the retired sections 3 and 6.
     const V1_MUTATED: &[u8] = include_bytes!("../tests/data/v1_mutated_repository.snap");
+
+    /// Queries for the bound checks: stored labels, near misses, and the
+    /// normalisation-empty query.
+    const BOUND_QUERIES: [&str; 6] = ["title", "orderTitle", "isbn", "warehouse", "bookYear", ""];
 
     #[test]
     fn version_1_snapshots_load_under_both_policies() {
         assert_eq!(V1_MUTATED[MAGIC.len()..MAGIC.len() + 4], 1u32.to_le_bytes());
-        assert!(read_section_table(V1_MUTATED)
-            .unwrap()
-            .iter()
-            .any(|s| s.id == 3));
+        let ids: Vec<u32> = sections_of(V1_MUTATED).iter().map(|s| s.0).collect();
+        assert!(ids.contains(&3) && ids.contains(&6), "{ids:?}");
         // A store image with its cached rows as bit patterns, so equality
         // is bitwise on the rows and by value on everything else.
         let image = |repo: &Repository| {
@@ -1424,21 +1246,52 @@ mod tests {
             let (loaded, report) = Repository::load_snapshot_report(V1_MUTATED, policy).unwrap();
             assert!(report.is_clean(), "{policy:?}: {report}");
             assert_eq!(loaded, fresh, "{policy:?}: schemas");
-            // Labels, column maps, rows, config, filter lanes, and each
-            // slot's tombstone and generation.
+            // Labels, column maps, rows, config, and each slot's
+            // tombstone and generation.
             assert_eq!(image(&loaded), image(&fresh), "{policy:?}");
-            // Re-saving writes the current version, without section 3.
+            // Filter lanes are rebuilt from the labels, never decoded.
+            assert_bitwise_bounds(&fresh, &loaded, &BOUND_QUERIES);
+            // Re-saving writes the current version, without sections 3
+            // and 6.
             let resaved = loaded.save_snapshot();
             assert_eq!(
                 resaved[MAGIC.len()..MAGIC.len() + 4],
                 FORMAT_VERSION.to_le_bytes()
             );
-            assert!(read_section_table(&resaved)
-                .unwrap()
-                .iter()
-                .all(|s| s.id != 3));
+            let ids: Vec<u32> = sections_of(&resaved).iter().map(|s| s.0).collect();
+            assert_eq!(ids, [1, 2, 4, 5, 7]);
         }
         assert_eq!(FORMAT_VERSION, 2);
+    }
+
+    #[test]
+    fn retired_filters_section_is_never_decoded() {
+        // Earlier version-2 writers stored filter lanes under id 6. A
+        // payload there is checksummed with the table and otherwise
+        // ignored: garbage loads clean under both policies, and a bad
+        // checksum fails only the strict table pass.
+        let repo = mutated_repository();
+        let bytes = repo.save_snapshot();
+        let mut sections = sections_of(&bytes);
+        sections.push((6, b"future"));
+        let garbage = assemble(&sections);
+        for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Salvage] {
+            let (loaded, report) = Repository::load_snapshot_report(&garbage, policy).unwrap();
+            assert!(report.is_clean(), "{policy:?}: {report}");
+            assert_eq!(loaded, repo, "{policy:?}");
+            assert_bitwise_bounds(&repo, &loaded, &BOUND_QUERIES);
+        }
+        let mut rotten = garbage.clone();
+        corrupt_section(&mut rotten, 6);
+        assert!(matches!(
+            Repository::load_snapshot(&rotten),
+            Err(PersistError::ChecksumMismatch(6))
+        ));
+        let (loaded, report) =
+            Repository::load_snapshot_report(&rotten, RecoveryPolicy::Salvage).unwrap();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(loaded, repo);
+        assert_bitwise_bounds(&repo, &loaded, &BOUND_QUERIES);
     }
 
     #[test]
@@ -1465,7 +1318,6 @@ mod tests {
             rows: Vec::new(),
             max_cached_rows: Some(7),
             batch_threads: 3,
-            filters: None,
             tombstones: None,
         };
         assert_eq!(encode_config(&state), unsharded);
@@ -1557,29 +1409,10 @@ mod tests {
         // Append a section id far above the known range: a reader must
         // ignore it (forward compatibility for additive sections).
         let repo = repository();
-        let mut bytes = repo.save_snapshot();
-        // Rewrite: rebuild with one extra empty section in the table.
-        let payload: &[u8] = b"future";
-        let mut w = Writer::new();
-        w.put_bytes(&MAGIC);
-        w.put_u32(FORMAT_VERSION);
-        let sections = read_section_table(&bytes).unwrap();
-        w.put_u32(sections.len() as u32 + 1);
-        let extra_tail = 28; // one extra table entry shifts payloads by this
-        for s in &sections {
-            w.put_u32(s.id);
-            w.put_u64((s.offset + extra_tail) as u64);
-            w.put_u64(s.len as u64);
-            w.put_u64(fnv1a(&bytes[s.offset..s.offset + s.len]));
-        }
-        w.put_u32(999);
-        w.put_u64((bytes.len() + extra_tail) as u64);
-        w.put_u64(payload.len() as u64);
-        w.put_u64(fnv1a(payload));
-        let first_payload = sections.iter().map(|s| s.offset).min().unwrap();
-        w.put_bytes(&bytes.split_off(first_payload));
-        w.put_bytes(payload);
-        let loaded = Repository::load_snapshot(&w.into_bytes()).expect("unknown id skipped");
+        let bytes = repo.save_snapshot();
+        let mut sections = sections_of(&bytes);
+        sections.push((999, b"future"));
+        let loaded = Repository::load_snapshot(&assemble(&sections)).expect("unknown id skipped");
         assert_eq!(loaded, repo);
     }
 }

@@ -398,7 +398,6 @@ fn salvaged_labels_after_a_replace_keep_no_row_under_a_wrong_label_id() {
         vec![
             SalvageEvent::LabelsRebuilt(Damage::BadChecksum),
             SalvageEvent::RowsDropped(Damage::Inconsistent),
-            SalvageEvent::FiltersRebuilt(Damage::Inconsistent),
         ]
     );
     let labels: Vec<&str> = (0..salvaged.store().len())
@@ -451,7 +450,6 @@ fn a_second_salvage_after_lost_tombstones_keeps_no_row_under_a_wrong_label_id() 
         vec![
             SalvageEvent::LabelsRebuilt(Damage::BadChecksum),
             SalvageEvent::RowsDropped(Damage::Inconsistent),
-            SalvageEvent::FiltersRebuilt(Damage::Inconsistent),
         ]
     );
     assert_cached_rows_are_oracle(&second);

@@ -1,15 +1,16 @@
 //! Persistence failure paths: every way a snapshot can be damaged maps
 //! to a typed [`PersistError`] — never a panic, never a half-built
 //! repository — and undamaged snapshots of arbitrary synthetic
-//! repositories round-trip bitwise (proptest), column arena included:
-//! node shapes are never persisted, so every load — a salvage load that
-//! rebuilds the LABELS section too — must rebuild them equal.
+//! repositories round-trip bitwise (proptest), column arena and
+//! candidate bounds included: node shapes and filter lanes are never
+//! persisted, so every load — a salvage load that rebuilds the LABELS
+//! section too — must rebuild them equal.
 
 use proptest::prelude::*;
 use smx_persist::{
     section, PersistError, RecoveryPolicy, SalvageEvent, Snapshot, FORMAT_VERSION, MAGIC,
 };
-use smx_repo::{LabelId, Repository, StoreConfig};
+use smx_repo::{LabelId, LabelStore, QueryFilter, Repository, StoreConfig};
 use smx_synth::{Scenario, ScenarioConfig};
 
 fn snapshot_bytes() -> (Repository, Vec<u8>) {
@@ -210,13 +211,22 @@ fn fnv1a_local(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// `query`'s candidate bounds against `store` as bit patterns: the
+/// dense full-precision pass, then the memoised cheap bound row.
+fn bound_bits(store: &LabelStore, query: &str) -> (Vec<u64>, Vec<u64>) {
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect();
+    let mut full = Vec::new();
+    store.similarity_upper_bounds(&QueryFilter::new(query), &mut full);
+    (bits(&full), bits(store.bound_row(query).cheap()))
+}
+
 proptest! {
     /// Round-trip on arbitrary synthetic repositories with arbitrary
     /// warm vocabularies and cache bounds: load(save(repo)) preserves
-    /// schemas, labels, column maps and node shapes, config, and every
-    /// cached row bitwise — and a salvage load whose LABELS section is
-    /// damaged rebuilds the same columns and shapes from the schema
-    /// list.
+    /// schemas, labels, column maps and node shapes, config, every
+    /// cached row and every vocabulary query's candidate bounds bitwise
+    /// — and a salvage load whose LABELS section is damaged rebuilds
+    /// the same columns, shapes and bounds from the schema list.
     #[test]
     fn random_repositories_round_trip_bitwise(
         derived in 1..4usize,
@@ -279,6 +289,11 @@ proptest! {
             }
         }
         prop_assert_eq!(b.pair_evals(), 0);
+        // Filter lanes are rebuilt from the labels at load: every
+        // vocabulary query bounds bitwise like the saved store.
+        for q in vocabulary {
+            prop_assert_eq!(bound_bits(a, q), bound_bits(b, q), "{:?}", q);
+        }
 
         // Flip one byte of the LABELS payload: the salvage load must
         // rebuild the labels from the schema list, and the shapes with
@@ -300,5 +315,8 @@ proptest! {
             prop_assert_eq!(a.schema_shapes(sid), c.schema_shapes(sid));
         }
         prop_assert_eq!(c.columns().len(), salvaged.total_elements());
+        for q in vocabulary {
+            prop_assert_eq!(bound_bits(a, q), bound_bits(c, q), "{:?}", q);
+        }
     }
 }

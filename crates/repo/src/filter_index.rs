@@ -7,7 +7,7 @@
 //! effectiveness given up is bounded* — which requires a cheap,
 //! **admissible** estimate of how similar a stored label could possibly
 //! be to a query. This module provides that estimate: per stored label
-//! a small structure-of-arrays [`FilterProfile`] (normalised length,
+//! a small structure-of-arrays `FilterProfile` (normalised length,
 //! first-four-character prefix lane, character-unigram multiset,
 //! distinct-token lengths and initials, and the label's trigram
 //! [`GramProfile`] lanes shared with the row kernel), plus a trigram
@@ -124,8 +124,8 @@ fn sorted_str_intersection(a: &[String], b: &[String]) -> usize {
 /// Per-label filter lanes: everything the admissible bound needs to
 /// score "how similar could this label possibly be", without the label
 /// text itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FilterProfile {
+#[derive(Debug, Clone)]
+struct FilterProfile {
     /// Normalised-form length in scalar values (the Levenshtein and
     /// Jaro denominators; `0` marks a degenerate label whose
     /// normalised form is empty).
@@ -149,7 +149,7 @@ pub struct FilterProfile {
 
 impl FilterProfile {
     /// Derive the filter lanes from a label's kernel profile.
-    pub fn from_label(p: &LabelProfile) -> Self {
+    fn from_label(p: &LabelProfile) -> Self {
         let mut prefix = [0u32; 4];
         for (i, c) in p.normalized().chars().take(MAX_PREFIX).enumerate() {
             prefix[i] = c as u32;
@@ -176,89 +176,6 @@ impl FilterProfile {
             initials,
             grams: p.grams().clone(),
         }
-    }
-
-    /// The stored normalised-form length.
-    pub fn norm_len(&self) -> u32 {
-        self.norm_len
-    }
-
-    /// Flatten into the plain-data form the persistence layer encodes.
-    pub fn to_data(&self) -> FilterProfileData {
-        FilterProfileData {
-            norm_len: self.norm_len,
-            prefix: self.prefix,
-            unigrams: self.unigrams.clone(),
-            token_count: self.token_count,
-            token_lens: self.token_lens.clone(),
-            initials: self.initials,
-            gram_keys: self.grams.keys().to_vec(),
-            gram_counts: self.grams.counts().to_vec(),
-            gram_total: self.grams.total(),
-        }
-    }
-}
-
-/// [`FilterProfile`] flattened to plain vectors — the form the
-/// `smx-persist` FILTERS section serialises so a snapshot load skips
-/// re-deriving lanes from label text.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FilterProfileData {
-    /// See [`FilterProfile`]'s `norm_len` lane.
-    pub norm_len: u32,
-    /// First-four-scalar prefix lane.
-    pub prefix: [u32; 4],
-    /// Sorted `(scalar, count)` unigram multiset.
-    pub unigrams: Vec<(u32, u32)>,
-    /// Distinct-token count.
-    pub token_count: u32,
-    /// Sorted distinct token lengths.
-    pub token_lens: Vec<u32>,
-    /// Token-initials bucket mask.
-    pub initials: u64,
-    /// Trigram profile keys (sorted ascending, distinct).
-    pub gram_keys: Vec<u64>,
-    /// Trigram profile counts, parallel to `gram_keys`.
-    pub gram_counts: Vec<u32>,
-    /// Trigram multiset total.
-    pub gram_total: u64,
-}
-
-impl FilterProfileData {
-    /// Validate the lane invariants and reassemble a [`FilterProfile`].
-    /// `None` if any invariant fails (corrupted or foreign data).
-    fn try_into_profile(self) -> Option<FilterProfile> {
-        if self.gram_keys.len() != self.gram_counts.len() {
-            return None;
-        }
-        if !self.gram_keys.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        if self.gram_counts.contains(&0) {
-            return None;
-        }
-        let total: u64 = self.gram_counts.iter().map(|&c| u64::from(c)).sum();
-        if total != self.gram_total {
-            return None;
-        }
-        if !self.unigrams.windows(2).all(|w| w[0].0 < w[1].0) {
-            return None;
-        }
-        if self.unigrams.iter().any(|&(_, c)| c == 0) {
-            return None;
-        }
-        if !self.token_lens.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        Some(FilterProfile {
-            norm_len: self.norm_len,
-            prefix: self.prefix,
-            unigrams: self.unigrams,
-            token_count: self.token_count,
-            token_lens: self.token_lens,
-            initials: self.initials,
-            grams: GramProfile::from_parts(self.gram_keys, self.gram_counts, self.gram_total),
-        })
     }
 }
 
@@ -335,16 +252,6 @@ impl FilterIndex {
         self.profiles.is_empty()
     }
 
-    /// Number of distinct gram keys with a posting list.
-    pub fn gram_vocabulary(&self) -> usize {
-        self.tri_postings.len()
-    }
-
-    /// The filter lanes of one label.
-    pub fn profile(&self, id: LabelId) -> &FilterProfile {
-        &self.profiles[id.index()]
-    }
-
     /// Index the next label (ids are dense and append-only, mirroring
     /// the interner).
     pub fn add_label(&mut self, profile: &LabelProfile) {
@@ -356,40 +263,15 @@ impl FilterIndex {
         self.profiles.push(lanes);
     }
 
-    /// Rebuild the whole index from kernel profiles (snapshot salvage,
-    /// or snapshots predating the FILTERS section).
+    /// Rebuild the whole index from kernel profiles (every snapshot
+    /// load: the lanes are a pure function of the label text, so they
+    /// are never persisted).
     pub fn rebuild(profiles: &[LabelProfile]) -> Self {
         let mut index = FilterIndex::new();
         for p in profiles {
             index.add_label(p);
         }
         index
-    }
-
-    /// Flatten every label's lanes for persistence.
-    pub fn export(&self) -> Vec<FilterProfileData> {
-        self.profiles.iter().map(FilterProfile::to_data).collect()
-    }
-
-    /// Reassemble an index from persisted lanes, rebuilding the posting
-    /// lists. `None` if any entry violates the lane invariants.
-    pub fn try_from_data(data: Vec<FilterProfileData>) -> Option<Self> {
-        let mut index = FilterIndex {
-            profiles: Vec::with_capacity(data.len()),
-            tri_postings: HashMap::new(),
-        };
-        for (id, entry) in data.into_iter().enumerate() {
-            let lanes = entry.try_into_profile()?;
-            for (&key, &count) in lanes.grams.keys().iter().zip(lanes.grams.counts()) {
-                index
-                    .tri_postings
-                    .entry(key)
-                    .or_default()
-                    .push((id as u32, count));
-            }
-            index.profiles.push(lanes);
-        }
-        Some(index)
     }
 
     /// Admissible upper bound on `NameSimilarity::similarity(query, l)`
@@ -822,35 +704,6 @@ mod tests {
         // length term (equal lengths → 1.0) survives, at weight 0.1.
         for &b in &out {
             assert!(b <= 0.1 + 2.0 * BOUND_EPS, "bound {b} too loose");
-        }
-    }
-
-    #[test]
-    fn export_import_round_trips() {
-        let (index, profiles) = index_of(&["custOrderNo", "title", "__", "isbn13"]);
-        let rebuilt = FilterIndex::try_from_data(index.export()).expect("valid lanes");
-        assert_eq!(rebuilt.len(), index.len());
-        assert_eq!(rebuilt.gram_vocabulary(), index.gram_vocabulary());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for q in ["custNo", "subtitle", ""] {
-            let filter = QueryFilter::new(q);
-            index.sim_upper_bounds(&filter, &profiles, None, &mut a);
-            rebuilt.sim_upper_bounds(&filter, &profiles, None, &mut b);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn corrupt_lanes_are_rejected() {
-        let (index, _) = index_of(&["title", "year"]);
-        let mut data = index.export();
-        data[0].gram_total += 1;
-        assert!(FilterIndex::try_from_data(data).is_none());
-        let mut data = index.export();
-        data[1].gram_keys.reverse();
-        if data[1].gram_keys.len() > 1 {
-            assert!(FilterIndex::try_from_data(data).is_none());
         }
     }
 }

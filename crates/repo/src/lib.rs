@@ -24,7 +24,7 @@
 //! * [`filter_index`] — the candidate-generation tier's filter lanes
 //!   and trigram inverted index: admissible per-label upper bounds on
 //!   the name-similarity mix, maintained incrementally on ingest and
-//!   persisted through the `smx-persist` FILTERS section,
+//!   rebuilt from the label text on every snapshot load,
 //! * [`store`] — the repository-resident label score store: per-label
 //!   row-kernel profiles and one map of cached name-distance rows (a
 //!   row covers every column once swept, the requested columns when
@@ -49,7 +49,7 @@ pub use bound_rows::BoundRow;
 pub use cluster::{greedy_clustering, Cluster, Clustering};
 pub use columns::{ColumnArena, NodeShape};
 pub use feature::{element_features, feature_similarity, query_features, ElementFeatures};
-pub use filter_index::{FilterIndex, FilterProfile, FilterProfileData, QueryFilter, BOUND_EPS};
+pub use filter_index::{FilterIndex, QueryFilter, BOUND_EPS};
 pub use fragment::{fragments_for_clusters, Fragment};
 pub use intern::{LabelId, LabelInterner};
 pub use repository::{ElementRef, Repository, SchemaId};

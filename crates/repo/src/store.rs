@@ -102,13 +102,13 @@
 //! The store also maintains, incrementally at ingest, the
 //! [`FilterIndex`] of per-label filter lanes and trigram postings that
 //! the candidate tier's admissible similarity upper bounds are computed
-//! from ([`LabelStore::similarity_upper_bounds`]); it is persisted
-//! through `smx-persist`'s FILTERS section and rebuilt from label text
-//! when a snapshot predates it or its section is damaged. The bounds a
-//! query label gets from it are memoised per label as **bound rows**
-//! ([`LabelStore::bound_row`], see [`bound_rows`](crate::bound_rows)):
-//! valid while their length equals the label count, shared by clones,
-//! never persisted, and bounded like the score rows.
+//! from ([`LabelStore::similarity_upper_bounds`]). Like the label
+//! profiles it is never persisted: [`LabelStore::import_state`] rebuilds
+//! it from the label text. The bounds a query label gets from it are
+//! memoised per label as **bound rows** ([`LabelStore::bound_row`], see
+//! [`bound_rows`](crate::bound_rows)): valid while their length equals
+//! the label count, shared by clones, never persisted, and bounded like
+//! the score rows.
 //!
 //! # Spill: trading disk for recompute
 //!
@@ -143,7 +143,7 @@
 
 use crate::bound_rows::{BoundMemo, BoundRow};
 use crate::columns::{ColumnArena, NodeShape};
-use crate::filter_index::{FilterIndex, FilterProfileData, QueryFilter};
+use crate::filter_index::{FilterIndex, QueryFilter};
 use crate::intern::{LabelId, LabelInterner};
 use crate::repository::SchemaId;
 use parking_lot::RwLock;
@@ -320,11 +320,11 @@ impl HealthReport {
 /// on-disk snapshot format; keeping the struct here lets the store keep
 /// every internal field private.
 ///
-/// Label profiles are deliberately *not* part of the image:
-/// [`LabelProfile::new`] is a pure function of the label text, so import
-/// rebuilds them from `labels` — cheaper than decoding the prepared
-/// Myers tables and gram profiles, and bitwise-equivalent by the kernel
-/// contract.
+/// Label profiles and filter lanes are deliberately *not* part of the
+/// image: [`LabelProfile::new`] is a pure function of the label text and
+/// the [`FilterIndex`] a pure function of the profiles, so import
+/// rebuilds both from `labels` — bitwise-equivalent by the kernel
+/// contract, and for the prepared Myers tables cheaper than decoding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreState {
     /// Distinct labels in [`LabelId`] order. Must be duplicate-free;
@@ -341,10 +341,6 @@ pub struct StoreState {
     pub max_cached_rows: Option<usize>,
     /// The store's sweep worker count ([`StoreConfig::batch_threads`]).
     pub batch_threads: usize,
-    /// The candidate-generation filter lanes, one entry per label in id
-    /// order — `None` for images exported before the filter index
-    /// existed (import then rebuilds the lanes from `labels`).
-    pub filters: Option<Vec<FilterProfileData>>,
     /// Per schema slot: `(removed, generation)` tombstone state —
     /// `None` for images exported before schema mutability existed
     /// (import then treats every slot as live at generation 0, which is
@@ -1726,7 +1722,6 @@ impl LabelStore {
                 .collect(),
             max_cached_rows: self.config().max_cached_rows,
             batch_threads: self.batch_threads,
-            filters: Some(self.filters.export()),
             tombstones: Some(
                 self.removed
                     .iter()
@@ -1742,12 +1737,14 @@ impl LabelStore {
     ///
     /// Labels are re-interned in id order and their [`LabelProfile`]s
     /// rebuilt (a pure function of the label text, so row values stay
-    /// bitwise identical); cached rows are re-stamped in the image's LRU
-    /// order. If the image holds more rows than `max_cached_rows`
-    /// allows, only the most recently used rows are kept. Node shapes
-    /// are never part of the image: the column arena rebuilds them from
-    /// `schemas`. Counters start fresh except `profile_builds`, which
-    /// counts the rebuilds this import performed.
+    /// bitwise identical), and the [`FilterIndex`] is rebuilt from those
+    /// profiles (so candidate bounds stay bitwise identical too); cached
+    /// rows are re-stamped in the image's LRU order. If the image holds
+    /// more rows than `max_cached_rows` allows, only the most recently
+    /// used rows are kept. Node shapes are never part of the image: the
+    /// column arena rebuilds them from `schemas`. Counters start fresh
+    /// except `profile_builds`, which counts the rebuilds this import
+    /// performed.
     ///
     /// The image must be internally consistent and describe `schemas`
     /// (distinct labels, one column map per schema with one id in range
@@ -1774,6 +1771,7 @@ impl LabelStore {
             let last = *prefix_hashes.last().expect("offset basis always present");
             prefix_hashes.push(fingerprint_push(last, label));
         }
+        let filters = FilterIndex::rebuild(&profiles);
         assert_eq!(
             state.schema_labels.len(),
             schemas.len(),
@@ -1794,15 +1792,6 @@ impl LabelStore {
                 }
             }
         }
-        // Persisted filter lanes skip the per-label re-derivation; an
-        // absent/short/invalid image (older snapshot, salvaged FILTERS
-        // section) falls back to rebuilding from the label text, which
-        // yields identical lanes by construction.
-        let filters = state
-            .filters
-            .and_then(FilterIndex::try_from_data)
-            .filter(|f| f.len() == profiles.len())
-            .unwrap_or_else(|| FilterIndex::rebuild(&profiles));
         // Tombstone state: images that predate mutability described a
         // fully live repository, so absent (or short) tombstone lists
         // default to live-at-generation-0 per slot.

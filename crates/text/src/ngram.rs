@@ -160,25 +160,6 @@ impl GramProfile {
         GramProfile::new(s, 3)
     }
 
-    /// Reassemble a profile from its stored lanes — the inverse of
-    /// reading [`keys`](GramProfile::keys) /
-    /// [`counts`](GramProfile::counts) / [`total`](GramProfile::total),
-    /// used by persistence layers that serialise profiles instead of
-    /// re-deriving them from label text. The caller is trusted to hand
-    /// back lanes in the invariant shape (`keys` sorted ascending and
-    /// distinct, `counts` parallel, `total == counts.sum()`); debug
-    /// builds assert it.
-    pub fn from_parts(keys: Vec<u64>, counts: Vec<u32>, total: u64) -> Self {
-        debug_assert_eq!(keys.len(), counts.len());
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        debug_assert_eq!(total, counts.iter().map(|&c| u64::from(c)).sum::<u64>());
-        GramProfile {
-            keys,
-            counts,
-            total,
-        }
-    }
-
     /// The sorted distinct gram keys — the flat compare lanes.
     #[inline]
     pub fn keys(&self) -> &[u64] {

@@ -32,10 +32,13 @@
 #      change any matcher's answers), the spill-compaction properties,
 #      and the snapshot-format gates: failure paths (every damaged
 #      snapshot fails with a typed error; random repositories round-trip
-#      bitwise) and persist identity (loaded snapshots answer bitwise
-#      like the saved repository, across all matchers). They also run
-#      inside step 4; this step exists so a durability or format
-#      regression is named as such, not buried in the suite.
+#      bitwise, candidate bounds included), persist identity (loaded
+#      snapshots answer bitwise like the saved repository, across all
+#      matchers), and the crate's unit tests (--lib: the committed
+#      version-1 fixture and the retired section ids load clean under
+#      both recovery policies). They also run inside step 4; this step
+#      exists so a durability or format regression is named as such,
+#      not buried in the suite.
 #  10. certified candidate-tier suites, likewise named: the
 #      differential suite (candidate-restricted answers bitwise equal
 #      to the exhaustive oracle's, certificates admissible across
@@ -163,8 +166,8 @@ cargo bench -p smx-bench --no-run
 echo "== [8/16] snapshot round-trip smoke (examples/warm_restart)"
 cargo run --release --example warm_restart >/dev/null
 
-echo "== [9/16] persistence suites (crash matrix, chaos, spill compaction, failure paths, persist identity)"
-named_suites -p smx-persist --test crash_matrix --test chaos --test spill_compaction \
+echo "== [9/16] persistence suites (crash matrix, chaos, spill compaction, failure paths, persist identity, snapshot format)"
+named_suites -p smx-persist --lib --test crash_matrix --test chaos --test spill_compaction \
   --test failure_paths --test persist_identity
 
 echo "== [10/16] certified candidate-tier suites (differential, bound admissibility, certified matrix)"
