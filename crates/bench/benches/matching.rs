@@ -16,8 +16,9 @@
 //! run against a warm store — the repeated-query path a repository
 //! serves in production. `batch` and `sequential32` compare filling 32
 //! personal schemas' matrices through the batch subsystem (labels
-//! deduped across the batch, one shared sweep) against 32 solo cold
-//! fills; `s1_batch_vs_sequential` makes the same comparison for full
+//! deduped across the batch and swept once by `prefill_rows`, then each
+//! problem's `cost_matrix` filled from the warm rows) against 32 solo
+//! cold fills; `s1_batch_vs_sequential` makes the same comparison for full
 //! matcher runs. The `restart` group times coming back up warm: a full
 //! schema-replay + row-resweep rebuild vs loading the `smx-persist`
 //! snapshot. The `candidate_tier` group extends the repository-size
@@ -176,14 +177,18 @@ fn bench_matrix_fill(c: &mut Criterion) {
     });
     // Batch: 32 personal schemas' matrices filled through the batch
     // subsystem from a cold store — distinct labels deduped across the
-    // whole batch, missing rows computed by one shared tiled sweep.
+    // whole batch, missing rows computed by one shared tiled sweep, then
+    // each problem's fill served from the warm rows.
     let (personals, batch_repo) = batch_workload(32);
     group.bench_with_input(BenchmarkId::from_parameter("batch"), &0, |b, _| {
         b.iter(|| {
             batch_repo.clear_score_rows();
             let batch = BatchProblem::new(personals.clone(), batch_repo.clone())
                 .expect("non-empty personal schemas");
-            batch.build_matrices(&objective);
+            batch.prefill_rows();
+            for problem in batch.problems() {
+                black_box(problem.cost_matrix(&objective));
+            }
             black_box(batch.len())
         })
     });
@@ -203,9 +208,10 @@ fn bench_matrix_fill(c: &mut Criterion) {
     });
     // Control: the same solo loop against one shared warm-up cache — the
     // best case for sequential serving, where the store's row cache
-    // already amortises repeats across the run. The batch path should
-    // stay close to this on one core (its win there is the cold/evicting
-    // regime above) and pull ahead with the threaded sweep on multicore.
+    // already amortises repeats across the run. The batch path differs
+    // only in sweeping every missing row up front in one call, so it
+    // should stay close to this; its win is the cold/evicting regime
+    // above.
     group.bench_with_input(
         BenchmarkId::from_parameter("sequential32_shared"),
         &0,

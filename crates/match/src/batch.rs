@@ -18,7 +18,8 @@
 //!   scoped worker threads, instead of one pass per query label.
 //! * [`BatchMatcher`] — dispatches every problem in the batch to any
 //!   inner [`Matcher`] (exhaustive, beam, cluster, top-k, brute-force),
-//!   sequentially or across `std::thread::scope` workers.
+//!   sequentially or across the store's shared scoped-thread scheduler
+//!   ([`smx_repo::workers::claim_each`]).
 //!
 //! # Identity contract
 //!
@@ -41,42 +42,36 @@
 //! cached rows the batched prefill populates — per-pair values are
 //! identical either way, so the identity contract is unaffected.
 //!
-//! # Memory pressure: pinned rows and batch-aware admission
+//! # Memory pressure: batch-aware admission
 //!
-//! A store LRU bound below the batch's distinct label count used to
-//! reopen the amortisation gap: a prefetched row could be evicted
-//! before the per-problem fills read it, and each fill would re-sweep
-//! it. Two mechanisms close the gap:
+//! A store LRU bound below the batch's distinct label count could evict
+//! a prefetched row before the per-problem fills read it, and each fill
+//! would re-sweep it. Admission chunks are the one mechanism that keeps
+//! the bound from reopening that gap: when the store is bounded,
+//! [`BatchMatcher::run_batch`] splits the batch with
+//! [`BatchProblem::admission_chunks`] into contiguous chunks whose
+//! union vocabulary fits `max_cached_rows`, and each chunk is
+//! prefetched ([`BatchProblem::prefill_chunk`]) and matched before the
+//! next is admitted. Within a chunk the prefilled rows are the most
+//! recently used, so the LRU never evicts them before the chunk's fills
+//! read them — zero within-chunk evictions (the admission tests assert
+//! this via `StoreCounters`).
 //!
-//! * [`BatchProblem::build_matrices`] keeps the `Arc` rows returned by
-//!   the prefetch and fills every matrix **directly from them**
-//!   ([`CostMatrix::build_pinned`](crate::CostMatrix::build_pinned)) —
-//!   eviction can drop a row from the cache but not from the batch's
-//!   hands, so the one-sweep-per-distinct-label invariant holds under
-//!   *any* bound.
-//! * [`BatchMatcher::run_batch`] practices **batch-aware admission**:
-//!   when the store is bounded, [`BatchProblem::admission_chunks`]
-//!   splits the batch into contiguous chunks whose union vocabulary
-//!   fits `max_cached_rows`, and each chunk is prefetched and matched
-//!   before the next is admitted. Within a chunk the prefilled rows
-//!   are the most recently used, so the LRU never evicts them before
-//!   the chunk's fills read them — zero within-chunk evictions (the
-//!   admission tests assert this via `StoreCounters`). Only a *single
-//!   problem* whose own vocabulary exceeds the bound can still thrash.
-//!
-//! Either way results are unaffected — bounded, chunked, pinned, or
-//! plain, every path computes bitwise-identical rows.
+//! The residual is a *single problem* whose own vocabulary exceeds the
+//! bound: its chunk is that problem alone, and its fill fetches all of
+//! its rows in one store call, sweeping each missing row once. The
+//! cache is back under the bound when that call returns, but the fill
+//! holds every one of the problem's rows live until it ends. Results
+//! are unaffected either way: bounded, chunked, or plain, every path
+//! computes bitwise-identical rows.
 
 use crate::error::MatchError;
 use crate::mapping::MappingRegistry;
 use crate::matcher::Matcher;
-use crate::objective::ObjectiveFunction;
 use crate::problem::MatchProblem;
 use smx_eval::AnswerSet;
-use smx_repo::Repository;
+use smx_repo::{workers, Repository};
 use smx_xml::Schema;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// N personal schemas to be matched against one repository.
 ///
@@ -154,16 +149,15 @@ impl BatchProblem {
     /// single sweep over the stored profiles instead of one sweep per
     /// label per problem. Returns the number of distinct labels served.
     ///
-    /// After this, each problem's cost-matrix fill is pure cached-row
-    /// lookups (unless the store's LRU bound evicted rows in between —
-    /// [`build_matrices`](Self::build_matrices) pins the rows instead,
-    /// which no bound can undo).
+    /// After this, each problem's
+    /// [`cost_matrix`](MatchProblem::cost_matrix) fill is pure
+    /// cached-row lookups, unless the store's LRU bound is below the
+    /// batch vocabulary and evicts rows in between —
+    /// [`BatchMatcher::run_batch`] admits a bounded batch chunk by
+    /// chunk ([`prefill_chunk`](Self::prefill_chunk)) so that never
+    /// happens.
     pub fn prefill_rows(&self) -> usize {
-        let names = self.distinct_labels();
-        if !names.is_empty() {
-            self.repository.store().score_rows(&names);
-        }
-        names.len()
+        self.prefill_chunk(0..self.problems.len())
     }
 
     /// Prefill the distinct labels of the problems in `chunk` only —
@@ -176,33 +170,6 @@ impl BatchProblem {
             self.repository.store().score_rows(&names);
         }
         names.len()
-    }
-
-    /// The batch's distinct score rows, prefetched in one call and
-    /// returned as `Arc`s keyed by label — the pinned form
-    /// [`build_matrices`](Self::build_matrices) fills from, immune to
-    /// LRU eviction between prefetch and fill.
-    pub fn pinned_rows(&self) -> HashMap<&str, Arc<Vec<f64>>> {
-        let names = self.distinct_labels();
-        if names.is_empty() {
-            return HashMap::new();
-        }
-        let rows = self.repository.store().score_rows(&names);
-        names.into_iter().zip(rows).collect()
-    }
-
-    /// Prefill the shared rows, then build every problem's
-    /// [`CostMatrix`](crate::CostMatrix) for `objective` directly from
-    /// the prefetched `Arc` rows (warm, lookup-free fills). Matchers
-    /// running afterwards find their engine ready. Because the rows are
-    /// pinned, an LRU bound below the batch vocabulary cannot force a
-    /// re-sweep: the batch still costs exactly one sweep per distinct
-    /// label.
-    pub fn build_matrices(&self, objective: &ObjectiveFunction) {
-        let pinned = self.pinned_rows();
-        for problem in &self.problems {
-            problem.cost_matrix_pinned(objective, &pinned);
-        }
     }
 
     /// Split the batch into contiguous chunks whose union label
@@ -247,8 +214,8 @@ impl BatchProblem {
 }
 
 /// Bulk dispatcher: one shared row prefill, then the inner matcher per
-/// problem — sequentially by default, or across `std::thread::scope`
-/// workers pulling problems from an atomic cursor.
+/// problem — sequentially by default, or across scoped workers pulling
+/// problems off [`smx_repo::workers::claim_each`]'s shared cursor.
 #[derive(Debug, Clone)]
 pub struct BatchMatcher<M> {
     inner: M,
@@ -263,16 +230,16 @@ impl<M: Matcher + Sync> BatchMatcher<M> {
         BatchMatcher { inner, threads: 1 }
     }
 
-    /// Dispatch across `threads` scoped workers (`0` = available
-    /// parallelism). Scores stay bitwise identical to sequential
-    /// dispatch; only registry id assignment order may differ.
+    /// Dispatch across `threads` scoped workers, resolved by
+    /// [`smx_repo::workers::resolve`]: `0` means one per core, and any
+    /// larger count is capped at the core count. Scores stay bitwise
+    /// identical to sequential dispatch; only registry id assignment
+    /// order may differ.
     pub fn with_threads(inner: M, threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |t| t.get())
-        } else {
-            threads
-        };
-        BatchMatcher { inner, threads }
+        BatchMatcher {
+            inner,
+            threads: workers::resolve(threads),
+        }
     }
 
     /// The wrapped matcher.
@@ -328,7 +295,7 @@ impl<M: Matcher + Sync> BatchMatcher<M> {
     }
 
     /// Run the inner matcher over `problems` — in order when
-    /// sequential, or across scoped workers pulling from an atomic
+    /// sequential, or across scoped workers claiming problems off one
     /// cursor. Results are returned in problem order regardless.
     fn dispatch(
         &self,
@@ -342,35 +309,9 @@ impl<M: Matcher + Sync> BatchMatcher<M> {
                 .map(|problem| self.inner.run(problem, delta_max, registry))
                 .collect();
         }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut results: Vec<Option<AnswerSet>> = (0..problems.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..self.threads.min(problems.len()) {
-                let next = &next;
-                let inner = &self.inner;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<(usize, AnswerSet)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(problem) = problems.get(i) else {
-                            break;
-                        };
-                        local.push((i, inner.run(problem, delta_max, registry)));
-                    }
-                    local
-                }));
-            }
-            for handle in handles {
-                for (i, answers) in handle.join().expect("batch worker panicked") {
-                    results[i] = Some(answers);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every problem dispatched"))
-            .collect()
+        workers::claim_each(problems.len(), self.threads, |i| {
+            self.inner.run(&problems[i], delta_max, registry)
+        })
     }
 }
 
@@ -379,6 +320,7 @@ mod tests {
     use super::*;
     use crate::exhaustive::ExhaustiveMatcher;
     use crate::mapping::MappingRegistry;
+    use crate::objective::ObjectiveFunction;
     use smx_xml::{PrimitiveType, SchemaBuilder};
 
     fn repository() -> Repository {
@@ -430,7 +372,9 @@ mod tests {
         assert_eq!(store.cached_rows(), 4);
         assert_eq!(store.pair_evals(), 4 * store.len() as u64);
         // Warm matrices: zero further pair evaluations.
-        batch.build_matrices(&ObjectiveFunction::default());
+        for problem in batch.problems() {
+            problem.cost_matrix(&ObjectiveFunction::default());
+        }
         assert_eq!(store.pair_evals(), 4 * store.len() as u64);
         assert_eq!(batch.into_problems().len(), 3);
     }
@@ -454,10 +398,13 @@ mod tests {
 
     #[test]
     fn thread_count_resolution() {
+        let cores = workers::resolve(0);
         let auto = BatchMatcher::with_threads(ExhaustiveMatcher::default(), 0);
-        assert!(auto.threads() >= 1);
+        assert_eq!(auto.threads(), cores);
+        let huge = BatchMatcher::with_threads(ExhaustiveMatcher::default(), usize::MAX);
+        assert_eq!(huge.threads(), cores);
         let fixed = BatchMatcher::with_threads(ExhaustiveMatcher::default(), 3);
-        assert_eq!(fixed.threads(), 3);
+        assert_eq!(fixed.threads(), 3.min(cores));
         assert_eq!(BatchMatcher::new(ExhaustiveMatcher::default()).threads(), 1);
         assert_eq!(fixed.inner().name(), "S1-exhaustive");
     }

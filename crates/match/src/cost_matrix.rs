@@ -43,7 +43,6 @@ use crate::problem::MatchProblem;
 use smx_repo::SchemaId;
 use smx_xml::{NodeId, Schema};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Dense per-schema node-cost table with branch-and-bound bounds.
 #[derive(Debug, Clone)]
@@ -173,51 +172,37 @@ impl CostMatrix {
     /// batched [`score_rows`](smx_repo::LabelStore::score_rows) call, so
     /// every missing row is computed by a single shared sweep over the
     /// stored profiles — then fill every schema's cost table and bounds
-    /// from those rows.
+    /// from those rows. A candidate-restricted problem makes one
+    /// [`score_rows_subset`](smx_repo::LabelStore::score_rows_subset)
+    /// call over its active schemas' columns instead, and fills only
+    /// their tables.
     pub fn build(problem: &MatchProblem, objective: &ObjectiveFunction) -> Self {
-        Self::build_pinned(problem, objective, &HashMap::new())
-    }
-
-    /// [`build`](Self::build), but rows already in the caller's hand —
-    /// the batch subsystem's prefetched `Arc`s — are used directly
-    /// instead of being looked up again in the store. This is what
-    /// closes the cross-batch row-sharing hazard: an LRU bound below the
-    /// batch vocabulary can evict a prefetched row from the *cache*, but
-    /// it cannot take it out of the caller's `Arc`, so the fill neither
-    /// recomputes nor re-sweeps it.
-    ///
-    /// Pinned rows must come from this problem's repository store (the
-    /// batch guarantees that); entries of the wrong length (the store
-    /// grew since the prefetch) are ignored and fetched fresh, so the
-    /// result is always bitwise identical to [`build`](Self::build).
-    pub fn build_pinned(
-        problem: &MatchProblem,
-        objective: &ObjectiveFunction,
-        pinned: &HashMap<&str, Arc<Vec<f64>>>,
-    ) -> Self {
         let mut span = smx_obs::span("cost_matrix.build");
         let personal = problem.personal();
         let k = problem.personal_size();
-        let store = problem.repository().store();
+        let repo = problem.repository();
+        let store = repo.store();
         // One store row per *distinct* personal label; `level_rows[level]`
         // indexes into `rows` so duplicate personal names share a sweep.
         let names = problem.distinct_personal_labels();
-        let expected = store.len();
-        let mut rows: Vec<Option<Arc<Vec<f64>>>> = names
-            .iter()
-            .map(|name| {
-                pinned
-                    .get(name)
-                    .filter(|row| row.len() == expected)
-                    .map(Arc::clone)
-            })
-            .collect();
-        let missing: Vec<&str> = names
-            .iter()
-            .zip(&rows)
-            .filter(|(_, row)| row.is_none())
-            .map(|(&name, _)| name)
-            .collect();
+        let rows = match problem.active_set() {
+            None => store.score_rows(&names),
+            Some(active) => {
+                // Only the label columns the active schemas reference,
+                // strictly ascending: every column their fill reads is
+                // covered, and covered positions are bitwise identical
+                // to a full sweep's.
+                let mut cols: Vec<usize> = active
+                    .ids()
+                    .iter()
+                    .flat_map(|&sid| store.schema_labels(sid))
+                    .map(|lid| lid.index())
+                    .collect();
+                cols.sort_unstable();
+                cols.dedup();
+                store.score_rows_subset(&names, &cols)
+            }
+        };
         let row_of: HashMap<&str, usize> = names
             .iter()
             .enumerate()
@@ -233,155 +218,45 @@ impl CostMatrix {
             .iter()
             .map(|&pid| personal.node(pid).ty)
             .collect();
-        let repo = problem.repository();
-        // The windowed fill: an unrestricted problem whose distinct
-        // vocabulary exceeds a bounded store's row cap would otherwise
-        // sweep every missing row in one batch and hold all of them
-        // live at once — the LRU evicts each row as the next lands, so
-        // nothing useful survives in the cache while peak memory still
-        // scales with the whole vocabulary. Instead, fetch missing rows
-        // in windows of the cap and stripe-fill pre-allocated cost
-        // tables window by window: each window's `Arc`s drop before the
-        // next sweep, bounding live rows by the cap. Every cell is the
-        // same pure `blend` of the same score-row value, written to the
-        // same position — bitwise identical to the one-shot fill (the
-        // `windowed_fill_matches_one_shot_bitwise` test).
-        let window = match problem.active_set() {
-            None => store
-                .config()
-                .max_cached_rows
-                .filter(|&cap| missing.len() > cap.max(1))
-                .map(|cap| cap.max(1)),
-            Some(_) => None,
+        // Fill each schema's k × n table from the store rows, mapping
+        // arena columns to label ids through the store's column maps.
+        let fill_table = |sid: SchemaId, schema: &Schema| {
+            let labels = store.schema_labels(sid);
+            let n = schema.len();
+            let mut costs = Vec::with_capacity(k * n);
+            for level in 0..k {
+                let row = rows[level_rows[level]].as_slice();
+                let p_ty = personal_types[level];
+                for (t, target) in schema.node_ids().enumerate() {
+                    let nd = row[labels[t].index()];
+                    let td = 1.0 - p_ty.compatibility(schema.node(target).ty);
+                    costs.push(objective.blend(nd, td));
+                }
+            }
+            SchemaTable::from_costs(k, n, costs)
         };
-        let (tables, sparse, fill_windows): (Vec<SchemaTable>, _, u64) = if let Some(w) = window {
-            // Which personal levels read each distinct-label row — a
-            // row's stripe touches exactly those levels of every table.
-            let mut levels_of: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-            for (level, &ri) in level_rows.iter().enumerate() {
-                levels_of[ri].push(level);
-            }
-            let mut costs: Vec<Vec<f64>> =
-                repo.iter().map(|(_, s)| vec![0.0; k * s.len()]).collect();
-            let mut stripe = |ri: usize, row: &[f64]| {
-                for &level in &levels_of[ri] {
-                    let p_ty = personal_types[level];
-                    for (sid, schema) in repo.iter() {
-                        let labels = store.schema_labels(sid);
-                        let n = schema.len();
-                        let base = level * n;
-                        let table = &mut costs[sid.index()];
-                        for (t, target) in schema.node_ids().enumerate() {
-                            let nd = row[labels[t].index()];
-                            let td = 1.0 - p_ty.compatibility(schema.node(target).ty);
-                            table[base + t] = objective.blend(nd, td);
-                        }
-                    }
+        let (tables, sparse): (Vec<SchemaTable>, _) = match problem.active_set() {
+            None => (
+                repo.iter()
+                    .map(|(sid, schema)| fill_table(sid, schema))
+                    .collect(),
+                None,
+            ),
+            Some(active) => {
+                let mut map = vec![u32::MAX; repo.len()];
+                let mut tables = Vec::with_capacity(active.ids().len());
+                for &sid in active.ids() {
+                    map[sid.index()] = tables.len() as u32;
+                    tables.push(fill_table(sid, repo.schema(sid)));
                 }
-            };
-            // Rows already in hand (the batch's pinned `Arc`s) stripe
-            // immediately; only the missing ones are windowed.
-            for (ri, row) in rows.iter().enumerate() {
-                if let Some(row) = row {
-                    stripe(ri, row);
-                }
-            }
-            let missing_ri: Vec<usize> = rows
-                .iter()
-                .enumerate()
-                .filter(|(_, row)| row.is_none())
-                .map(|(ri, _)| ri)
-                .collect();
-            let mut windows = 0u64;
-            for chunk in missing_ri.chunks(w) {
-                let queries: Vec<&str> = chunk.iter().map(|&ri| names[ri]).collect();
-                let fetched = store.score_rows(&queries);
-                for (&ri, row) in chunk.iter().zip(&fetched) {
-                    stripe(ri, row);
-                }
-                windows += 1;
-            }
-            let tables = repo
-                .iter()
-                .zip(costs)
-                .map(|((_, schema), c)| SchemaTable::from_costs(k, schema.len(), c))
-                .collect();
-            (tables, None, windows)
-        } else {
-            if !missing.is_empty() {
-                // A candidate-restricted problem scores only the label
-                // columns its active schemas reference, strictly
-                // ascending: missing rows come back from the store's
-                // subset path (every column an active schema's fill reads
-                // is covered, and covered positions are bitwise identical
-                // to a full sweep's).
-                let fetched = match problem.active_set() {
-                    None => store.score_rows(&missing),
-                    Some(active) => {
-                        let mut cols: Vec<usize> = active
-                            .ids()
-                            .iter()
-                            .flat_map(|&sid| store.schema_labels(sid))
-                            .map(|lid| lid.index())
-                            .collect();
-                        cols.sort_unstable();
-                        cols.dedup();
-                        store.score_rows_subset(&missing, &cols)
-                    }
-                };
-                let mut fetched = fetched.into_iter();
-                for row in rows.iter_mut().filter(|row| row.is_none()) {
-                    *row = fetched.next();
-                }
-            }
-            let rows: Vec<Arc<Vec<f64>>> = rows
-                .into_iter()
-                .map(|row| row.expect("every name resolved"))
-                .collect();
-            // Fill each schema's k × n table from the store rows, mapping
-            // arena columns to label ids through the store's column maps.
-            let fill_table = |sid: SchemaId, schema: &Schema| {
-                let labels = store.schema_labels(sid);
-                let n = schema.len();
-                let mut costs = Vec::with_capacity(k * n);
-                for level in 0..k {
-                    let row = rows[level_rows[level]].as_slice();
-                    let p_ty = personal_types[level];
-                    for (t, target) in schema.node_ids().enumerate() {
-                        let nd = row[labels[t].index()];
-                        let td = 1.0 - p_ty.compatibility(schema.node(target).ty);
-                        costs.push(objective.blend(nd, td));
-                    }
-                }
-                SchemaTable::from_costs(k, n, costs)
-            };
-            match problem.active_set() {
-                None => (
-                    repo.iter()
-                        .map(|(sid, schema)| fill_table(sid, schema))
-                        .collect(),
-                    None,
-                    0,
-                ),
-                Some(active) => {
-                    let mut map = vec![u32::MAX; repo.len()];
-                    let mut tables = Vec::with_capacity(active.ids().len());
-                    for &sid in active.ids() {
-                        map[sid.index()] = tables.len() as u32;
-                        tables.push(fill_table(sid, repo.schema(sid)));
-                    }
-                    (tables, Some(map), 0)
-                }
+                (tables, Some(map))
             }
         };
         if span.is_active() {
             span.attr("k", k);
             span.attr("distinct_labels", names.len());
-            span.attr("pinned_rows", names.len() - missing.len());
-            span.attr("missing_rows", missing.len());
             span.attr("restricted", problem.active_set().is_some());
             span.attr("schemas_filled", tables.len());
-            span.attr("fill_windows", fill_windows);
             smx_obs::registry()
                 .histogram("cost_matrix.build_ns")
                 .observe_ns(span.elapsed_ns());
@@ -512,10 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn windowed_fill_matches_one_shot_bitwise() {
+    fn bounded_store_fill_matches_unbounded_bitwise() {
         // A vocabulary (6 distinct personal labels) above the row cap
-        // (2) takes the windowed fill path; an unbounded store takes
-        // the one-shot path. Same schemas, same objective — every cell
+        // (2) against the same schemas in an unbounded store: every cell
         // must be bitwise identical, and the bounded store must end the
         // build holding no more rows than its cap.
         let personal = SchemaBuilder::new("p")
@@ -559,15 +433,15 @@ mod tests {
             bounded.add(s);
         }
         let objective = ObjectiveFunction::default();
-        let one_shot = CostMatrix::build(
+        let unbounded_fill = CostMatrix::build(
             &MatchProblem::new(personal.clone(), unbounded).unwrap(),
             &objective,
         );
         let bounded_problem = MatchProblem::new(personal, bounded).unwrap();
         assert!(bounded_problem.distinct_personal_labels().len() > cap);
-        let windowed = CostMatrix::build(&bounded_problem, &objective);
+        let bounded_fill = CostMatrix::build(&bounded_problem, &objective);
         for (sid, schema) in bounded_problem.repository().iter() {
-            let (a, b) = (one_shot.table(sid), windowed.table(sid));
+            let (a, b) = (unbounded_fill.table(sid), bounded_fill.table(sid));
             assert_eq!(a.node_count(), b.node_count());
             for level in 0..bounded_problem.personal_size() {
                 for t in 0..schema.len() {

@@ -115,26 +115,6 @@ impl MatchProblem {
         }
     }
 
-    /// [`cost_matrix`](Self::cost_matrix), but filling from rows the
-    /// caller already holds (see [`CostMatrix::build_pinned`]) — the
-    /// batch path, where prefetched `Arc` rows must survive an LRU bound
-    /// smaller than the batch vocabulary. Caching behaves exactly like
-    /// [`cost_matrix`](Self::cost_matrix).
-    pub fn cost_matrix_pinned(
-        &self,
-        objective: &ObjectiveFunction,
-        pinned: &std::collections::HashMap<&str, Arc<Vec<f64>>>,
-    ) -> Arc<CostMatrix> {
-        let cached = self
-            .engine
-            .get_or_init(|| Arc::new(CostMatrix::build_pinned(self, objective, pinned)));
-        if cached.config() == objective.config() {
-            Arc::clone(cached)
-        } else {
-            Arc::new(CostMatrix::build_pinned(self, objective, pinned))
-        }
-    }
-
     /// The personal schema.
     pub fn personal(&self) -> &Schema {
         &self.personal

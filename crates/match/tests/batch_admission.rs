@@ -2,10 +2,6 @@
 //! batch vocabulary must cost recompute at *chunk* granularity only,
 //! never correctness and never within-chunk thrash.
 //!
-//! * Cross-batch row-sharing regression: `build_matrices` fills from
-//!   the prefetched `Arc` rows, so a bound smaller than the batch
-//!   vocabulary cannot evict a row between prefetch and fill — the
-//!   batch still costs exactly one sweep per distinct label.
 //! * Batch-aware admission: `run_batch` on a bounded store chunks the
 //!   batch so each chunk's vocabulary fits `max_cached_rows`; within a
 //!   chunk, `StoreCounters` show zero evictions and zero extra misses
@@ -63,57 +59,6 @@ fn canonical(answers: &AnswerSet, registry: &MappingRegistry) -> Vec<(Mapping, u
         .collect();
     out.sort_by(|x, y| x.0.cmp(&y.0));
     out
-}
-
-#[test]
-fn pinned_build_matrices_survive_a_bound_below_the_batch_vocabulary() {
-    let (personals, repository) = workload(&[41, 42, 43, 44]);
-    // Tightest possible cache: every insert beyond the first evicts.
-    let bounded = with_config(
-        &repository,
-        StoreConfig {
-            max_cached_rows: Some(1),
-            batch_threads: 0,
-            ..StoreConfig::default()
-        },
-    );
-    let batch = BatchProblem::new(personals.clone(), bounded).expect("non-empty schemas");
-    let distinct = batch.distinct_labels().len() as u64;
-    assert!(
-        distinct > 1,
-        "workload must overflow the bound for the test to bite"
-    );
-    let store = batch.repository().store();
-    let labels = store.len() as u64;
-    batch.build_matrices(&ObjectiveFunction::default());
-    let c = store.counters();
-    // The regression this guards: before pinned fills, each per-problem
-    // fill re-swept rows the prefill had already computed and the LRU
-    // had already evicted. Pinned, the batch costs exactly one sweep
-    // per distinct label no matter the bound.
-    assert_eq!(
-        c.pair_evals,
-        distinct * labels,
-        "prefetched rows must not be re-swept"
-    );
-    assert_eq!(c.row_misses, distinct);
-    assert_eq!(
-        c.row_lookups, distinct,
-        "fills must read the pinned Arcs, not the store"
-    );
-    // And the matrices are the same ones an unbounded twin computes.
-    let registry = MappingRegistry::new();
-    let free = BatchProblem::new(personals, repository).expect("non-empty schemas");
-    let matcher = BatchMatcher::new(ExhaustiveMatcher::default());
-    let expected = matcher.run_batch(&free, DELTA_MAX, &registry);
-    let got = matcher.run_batch(&batch, DELTA_MAX, &registry);
-    for (i, (b, s)) in got.iter().zip(&expected).enumerate() {
-        assert_eq!(
-            canonical(b, &registry),
-            canonical(s, &registry),
-            "problem {i}"
-        );
-    }
 }
 
 #[test]

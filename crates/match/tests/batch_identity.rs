@@ -166,7 +166,11 @@ fn batch_prefill_amortises_row_sweeps_across_problems() {
     let store = batch.repository().store();
     let labels = store.len() as u64;
     assert_eq!(store.counters().pair_evals, 0, "workload must start cold");
-    batch.build_matrices(&ObjectiveFunction::default());
+    batch.prefill_rows();
+    let objective = ObjectiveFunction::default();
+    for problem in batch.problems() {
+        problem.cost_matrix(&objective);
+    }
     let c = store.counters();
     assert_eq!(
         c.pair_evals,
@@ -174,10 +178,15 @@ fn batch_prefill_amortises_row_sweeps_across_problems() {
         "batch fill = one kernel sweep per distinct label across the whole batch"
     );
     assert_eq!(c.row_misses, distinct);
-    // Pinned fills read the prefetched `Arc`s directly — the per-problem
-    // fills are not even lookups, so the only store traffic is the
-    // prefetch itself.
-    assert_eq!(c.row_lookups, distinct, "fills must not re-look rows up");
+    // The per-problem fills after the prefill are pure hits: one per
+    // distinct label of each problem.
+    let fill_lookups: u64 = batch
+        .problems()
+        .iter()
+        .map(|p| p.distinct_personal_labels().len() as u64)
+        .sum();
+    assert_eq!(c.row_hits, fill_lookups, "fills must only hit");
+    assert_eq!(c.row_lookups, distinct + c.row_hits);
     assert_eq!(c.row_hits + c.row_misses, c.row_lookups);
 }
 

@@ -33,7 +33,10 @@
 //!   against the repository,
 //! * [`bound_rows`] — the store's memo of candidate-tier bound rows:
 //!   per query label, the filter index's cheap bounds plus lazily
-//!   refined full-precision ones.
+//!   refined full-precision ones,
+//! * [`workers`] — the one scoped-thread scheduler, shared by the
+//!   store's row sweep and `smx-match`'s batch dispatcher, and the
+//!   worker-count resolution both use.
 
 pub mod bound_rows;
 pub mod cluster;
@@ -44,6 +47,7 @@ pub mod fragment;
 pub mod intern;
 pub mod repository;
 pub mod store;
+pub mod workers;
 
 pub use bound_rows::BoundRow;
 pub use cluster::{greedy_clustering, Cluster, Clustering};

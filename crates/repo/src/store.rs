@@ -77,7 +77,7 @@
 //! missing rows are computed by a single **profile-major sweep** — one
 //! pass over the stored [`LabelProfile`]s, evaluating every pending
 //! query kernel per profile — instead of one full pass per query, and
-//! the pass is chunked across `std::thread::scope` workers when the
+//! the pass is tiled across [`workers::claim_each`] workers when the
 //! pending work is large enough to pay for them. Per-pair values are
 //! independent, so the batched sweep is bitwise identical to serving
 //! each query alone.
@@ -146,6 +146,7 @@ use crate::columns::{ColumnArena, NodeShape};
 use crate::filter_index::{FilterIndex, QueryFilter};
 use crate::intern::{LabelId, LabelInterner};
 use crate::repository::SchemaId;
+use crate::workers;
 use parking_lot::RwLock;
 use smx_text::{KernelVariant, LabelProfile, RowKernel};
 use smx_xml::Schema;
@@ -159,8 +160,8 @@ const PARALLEL_SWEEP_MIN_PAIRS: usize = 1024;
 
 /// Work-stealing sweep granularity: each worker's share of the column
 /// axis is cut into this many tiles, so a worker that finishes early
-/// claims the next tile off the shared cursor instead of idling behind
-/// a static partition.
+/// claims the next tile ([`workers::claim_each`]) instead of idling
+/// behind a static partition.
 const TILES_PER_WORKER: usize = 4;
 
 /// Sentinel for "no bound" in the atomic `max_cached_rows` cell.
@@ -199,8 +200,10 @@ pub struct StoreConfig {
     /// cache grows with the distinct query vocabulary.
     pub max_cached_rows: Option<usize>,
     /// Worker threads for batched row sweeps ([`LabelStore::score_rows`]);
-    /// `0` means auto (available parallelism). Small sweeps stay
-    /// single-threaded regardless.
+    /// `0` means one per core. A sweep runs at most one worker per core
+    /// whatever the count ([`workers::resolve`]), and the count is kept
+    /// and persisted as given. Small sweeps stay single-threaded
+    /// regardless.
     pub batch_threads: usize,
     /// Ignored: the store has one lock per row map and no shards. The
     /// field remains only because the request-level benchmark
@@ -695,7 +698,8 @@ pub struct LabelStore {
     /// LRU bound on `rows` (`UNBOUNDED` = no bound). Atomic so tests and
     /// deployments can tighten it on a live, shared store.
     max_cached_rows: AtomicUsize,
-    /// Worker threads for batched sweeps (0 = auto).
+    /// Worker threads for batched sweeps as configured (0 = one per
+    /// core), resolved by [`workers::resolve`] at each sweep.
     batch_threads: usize,
     /// Where evicted rows go instead of the void ([`EvictionSink`]);
     /// consulted on misses before sweeping. Shared across clones.
@@ -1401,45 +1405,16 @@ impl LabelStore {
         // into the label list), tiling from 0 would hand most workers
         // empty ranges.
         let base = kernels.iter().map(|&(_, start)| start).min().unwrap_or(0);
-        // Work-stealing: cut the column axis into more tiles than
-        // workers and let each worker claim the next tile off a shared
-        // cursor — a worker that finishes early (cheap columns, a cold
-        // cache elsewhere) pulls more work instead of idling behind a
-        // static partition. Tile boundaries are deterministic, so the
-        // stitched result is identical no matter which worker computed
-        // which tile.
+        // More tiles than workers, so a worker that finishes early
+        // (cheap columns, a cold cache elsewhere) claims another tile.
+        // Tile boundaries are deterministic, so the stitched result is
+        // identical no matter which worker computed which tile.
         let tiles = (threads * TILES_PER_WORKER).min(n - base).max(1);
         let tile_size = (n - base).div_ceil(tiles);
-        let cursor = AtomicUsize::new(0);
-        let mut tile_parts: Vec<Option<Vec<Vec<f64>>>> = (0..tiles).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut claimed = Vec::new();
-                        loop {
-                            let t = cursor.fetch_add(1, Relaxed);
-                            if t >= tiles {
-                                break;
-                            }
-                            let lo = base + t * tile_size;
-                            let hi = (lo + tile_size).min(n);
-                            if lo >= hi {
-                                continue;
-                            }
-                            claimed
-                                .push((t, Self::sweep_chunk(kernels, &self.profiles[lo..hi], lo)));
-                        }
-                        claimed
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (t, part) in handle.join().expect("sweep worker panicked") {
-                    tile_parts[t] = Some(part);
-                }
-            }
+        let tile_parts = workers::claim_each(tiles, threads, |t| {
+            let lo = (base + t * tile_size).min(n);
+            let hi = (lo + tile_size).min(n);
+            Self::sweep_chunk(kernels, &self.profiles[lo..hi], lo)
         });
         // Stitch the tiles back in column order; per-pair values are
         // independent, so this equals the single-threaded pass bitwise.
@@ -1447,7 +1422,7 @@ impl LabelStore {
             .iter()
             .map(|&(_, start)| Vec::with_capacity(n - start))
             .collect();
-        for part in tile_parts.into_iter().flatten() {
+        for part in tile_parts {
             for (row, chunk_row) in rows.iter_mut().zip(part) {
                 row.extend(chunk_row);
             }
@@ -1479,21 +1454,15 @@ impl LabelStore {
     }
 
     /// Worker count for a pending sweep: 1 unless the pair count clears
-    /// [`PARALLEL_SWEEP_MIN_PAIRS`], else the configured/auto thread
-    /// count — capped so every worker keeps at least that many pairs
-    /// (and by the column count).
+    /// [`PARALLEL_SWEEP_MIN_PAIRS`], else the configured count resolved
+    /// by [`workers::resolve`] — capped so every worker keeps at least
+    /// that many pairs (and by the column count).
     fn sweep_threads(&self, kernels: &[(Option<RowKernel>, usize)], n: usize) -> usize {
         let work: usize = kernels.iter().map(|&(_, start)| n - start).sum();
         if work < PARALLEL_SWEEP_MIN_PAIRS {
             return 1;
         }
-        let configured = if self.batch_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |t| t.get())
-        } else {
-            self.batch_threads
-        };
-        configured
-            .max(1)
+        workers::resolve(self.batch_threads)
             .min(work / PARALLEL_SWEEP_MIN_PAIRS)
             .max(1)
             .min(n.max(1))
@@ -2083,6 +2052,23 @@ mod tests {
             }
         }
         assert_eq!(seq.store().pair_evals(), par.store().pair_evals());
+    }
+
+    #[test]
+    fn sweep_workers_are_capped_at_the_core_count() {
+        // A count decoded from a snapshot is kept verbatim; only the
+        // worker count a sweep resolves from it is capped. Nothing runs.
+        let store = LabelStore::with_config(StoreConfig {
+            batch_threads: usize::MAX,
+            ..StoreConfig::default()
+        });
+        assert_eq!(store.config().batch_threads, usize::MAX);
+        let kernels: Vec<(Option<RowKernel>, usize)> = (0..64).map(|_| (None, 0)).collect();
+        let cap = 64 * 4096 / PARALLEL_SWEEP_MIN_PAIRS;
+        assert_eq!(
+            store.sweep_threads(&kernels, 4096),
+            workers::resolve(0).min(cap)
+        );
     }
 
     #[test]

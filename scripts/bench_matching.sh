@@ -104,8 +104,8 @@ doc = {
     # serving loop with per-query-cold fills (no shared warm rows — the
     # regime an LRU-bounded row cache degrades to under pressure);
     # "sequential_shared_fill_ns" is the sequential best case where all
-    # 32 solo fills share one warm cache (batch tracks it closely on one
-    # core and beats it with the threaded sweep on multicore).
+    # 32 solo fills share one warm cache (batch tracks it closely; its
+    # win is the per-query-cold regime).
     # Acceptance: batch_fill_ns measurably below sequential_fill_ns.
     "batch32": {
         "batch_fill_ns": batch_fill,

@@ -69,9 +69,12 @@
 #  13. store suites, likewise named: the LRU property suite (swept
 #      and subset-filled rows under one bound, evicted rows recompute
 #      bitwise), store reuse (repeat problems refill without a pair
-#      evaluation), and batch admission (a bound below the batch
-#      vocabulary costs recompute per chunk only). A row-cache
-#      regression fails here by name, not buried in step 4.
+#      evaluation), batch admission (a bound below the batch
+#      vocabulary costs recompute per chunk only), and the batch
+#      differential gate (batched answers bitwise equal to solo runs
+#      for every matcher, the only gate on threaded dispatch). A
+#      row-cache or batch regression fails here by name, not buried in
+#      step 4.
 #  14. text-kernel suites, likewise named: the dispatch differential
 #      (every kernel variant bitwise equal to the scalar oracle), the
 #      three SMX_KERNEL_FORCE forced-variant binaries, and the
@@ -184,9 +187,9 @@ echo "== [12/16] mutation suites (edge cases + properties, differential gate)"
 named_suites -p smx-repo --test mutation
 named_suites -p smx-match --test mutation_differential
 
-echo "== [13/16] store suites (LRU properties, reuse, batch admission)"
+echo "== [13/16] store suites (LRU properties, reuse, batch admission, batch identity)"
 named_suites -p smx-repo --test store_lru
-named_suites -p smx-match --test store_reuse --test batch_admission
+named_suites -p smx-match --test store_reuse --test batch_admission --test batch_identity
 
 echo "== [14/16] text-kernel suites (dispatch differential, forced variants, properties)"
 named_suites -p smx-text --test dispatch_differential --test forced_variant_scalar \
